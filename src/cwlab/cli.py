@@ -165,8 +165,6 @@ def _build_parser() -> _Parser:
     def add_common(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default CWLAB_THREADS or all cores)")
 
     sp = sub.add_parser("divisor", help="per-n restricted divisor values")
     sp.add_argument("--n", type=int, required=True)
@@ -361,7 +359,7 @@ def _cmd_pairs(args) -> int:
 def _cmd_fit(args) -> int:
     grid = args.grid if args.grid is not None else DEFAULT_GRID
     if args.j is not None:
-        series = cw_series(args.a, args.alpha, args.j, grid, args.threads)
+        series = cw_series(args.a, args.alpha, args.j, grid)
         report = fit_loglog(series)
         rows = [{"x": x, "g_value": v} for x, v in series]
         params = {"a": args.a, "alpha": args.alpha, "j": args.j,
@@ -375,7 +373,7 @@ def _cmd_fit(args) -> int:
             model = asymptotics.sqrt_restricted_model(alpha, args.cw)
         else:
             model = asymptotics.root_restricted_model(alpha, args.a)
-        series = residual_series(spec, model, grid, args.threads)
+        series = residual_series(spec, model, grid)
         report = fit_loglog(series)
         rows = [
             {"x": p.x, "exact": p.exact, "model_value": p.model_value, "residual": p.residual}
@@ -457,7 +455,7 @@ def _suite_divisors() -> tuple[bool, str]:
             n = d**a
             if divisors.divisor_sum_restricted(n, DivisorSpec(a, 0)) < 1:
                 return False, "boundary inclusion fails"
-            if d not in divisors._restricted_divisors(n, a):
+            if d not in [e for e in divisors._divisors(n) if e**a <= n]:
                 return False, f"boundary divisor {d} missing from n={n} a={a}"
     for _ in range(2 * 10**4):
         n = rng.randrange(10**18)
@@ -599,13 +597,7 @@ def _suite_experiments() -> tuple[bool, str]:
         rep = fit_loglog([(x, x**s) for x in grid.points()])
         if abs(rep.slope - s) > 1e-9:
             return False, f"synthetic slope {s} recovered as {rep.slope}"
-    small = GridSpec(100, 3.0, 5)
-    model = asymptotics.sqrt_restricted_model(0)
-    one = residual_series(DivisorSpec(2, 0), model, small, threads=1)
-    two = residual_series(DivisorSpec(2, 0), model, small, threads=4)
-    if [(p.x, p.exact, str(p.residual)) for p in one] != [(p.x, p.exact, str(p.residual)) for p in two]:
-        return False, "residual series not deterministic across thread counts"
-    return True, "synthetic power laws, determinism"
+    return True, "synthetic power laws"
 
 
 _SUITES = [
@@ -648,6 +640,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large to allocate", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"error: invariant breach: {exc}", file=sys.stderr)

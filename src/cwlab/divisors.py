@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -77,16 +76,16 @@ def integer_root(n: int, a: int) -> int:
     return d
 
 
-def _restricted_divisors(n: int, a: int) -> list[int]:
-    """Divisors d of n with d**a <= n, via trial division up to sqrt(n)."""
+def _divisors(n: int) -> list[int]:
+    """All divisors of n >= 1, via trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     out = []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
-            if d**a <= n:
-                out.append(d)
-            q = n // d
-            if q != d and q**a <= n:
-                out.append(q)
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
     return out
 
 
@@ -95,9 +94,7 @@ def divisor_sum_restricted(n: int, spec: DivisorSpec):
 
     Exact int in integer-alpha mode; math.fsum of d**alpha otherwise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    divs = _restricted_divisors(n, spec.a)
+    divs = [d for d in _divisors(n) if d**spec.a <= n]
     if spec.exact:
         return sum(d**spec.alpha for d in divs)
     return math.fsum(d**spec.alpha for d in divs)
@@ -105,25 +102,12 @@ def divisor_sum_restricted(n: int, spec: DivisorSpec):
 
 def tau(n: int) -> int:
     """Number of divisors of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            count += 1 if d * d == n else 2
-    return count
+    return len(_divisors(n))
 
 
 def sigma_alpha(n: int, alpha):
     """Full divisor power sum sigma_alpha(n) over all divisors."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    divs = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            divs.append(d)
-            if d * d != n:
-                divs.append(n // d)
+    divs = _divisors(n)
     if isinstance(alpha, int) and not isinstance(alpha, bool):
         return sum(d**alpha for d in divs)
     return math.fsum(d**alpha for d in divs)
@@ -159,6 +143,25 @@ def tau_tilde_via_identity(n: int) -> int:
 _INT64_GUARD = 2**62
 
 
+def _sieve_chunk(lo: int, hi: int, spec: DivisorSpec, root: int) -> np.ndarray:
+    """sigma_{a,alpha}(n) for n in [lo, hi) as one vectorized chunk.
+
+    Adds d**alpha at every n = d*k in range with k >= d**(a-1), for d <= root.
+    The caller guards int64 magnitudes in integer mode.
+    """
+    dtype = np.int64 if spec.exact else np.float64
+    arr = np.zeros(hi - lo, dtype=dtype)
+    for d in range(1, root + 1):
+        start = d**spec.a
+        if start >= hi:
+            break
+        if start < lo:
+            start = ((lo + d - 1) // d) * d
+        if start < hi:
+            arr[start - lo :: d] += d**spec.alpha if spec.exact else float(d) ** spec.alpha
+    return arr
+
+
 def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """Array t with t[n] = sigma_{a,alpha}(n) for 1 <= n <= limit (t[0] = 0).
 
@@ -177,14 +180,7 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
                 "restricted_sigma_table entries may exceed int64; "
                 "use divisor_sum_restricted per n instead"
             )
-        table = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, root + 1):
-            table[d**spec.a :: d] += d**spec.alpha
-        return table
-    table = np.zeros(limit + 1, dtype=np.float64)
-    for d in range(1, root + 1):
-        table[d**spec.a :: d] += float(d) ** spec.alpha
-    return table
+    return _sieve_chunk(0, limit + 1, spec, root)
 
 
 def tau_table(limit: int) -> np.ndarray:

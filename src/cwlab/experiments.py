@@ -13,8 +13,6 @@ x ~ 1e15 double precision would cancel the entire signal.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import linear_regression
 
@@ -75,35 +73,14 @@ class ResidualPoint:
     residual: object     # mpf
 
 
-def default_threads() -> int:
-    env = os.environ.get("CWLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items, threads):
-    if threads is None:
-        threads = default_threads()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def residual_series(
     spec: DivisorSpec,
     model: MainTermModel,
     grid: GridSpec = DEFAULT_GRID,
-    threads: int | None = None,
 ) -> list[ResidualPoint]:
     """Exact summatory values minus model values over the grid.
 
-    Deterministic: points are evaluated independently and reported in
-    increasing x order regardless of thread count.
+    Deterministic: points are evaluated one by one in increasing x order.
     """
     points = grid.points()
     if points and points[-1] > RESIDUAL_X_LIMIT:
@@ -116,7 +93,7 @@ def residual_series(
             residual = mp.mpf(exact) - model_value
         return ResidualPoint(x, exact, model_value, residual)
 
-    return _pmap(one, points, threads)
+    return [one(x) for x in points]
 
 
 def fit_loglog(series) -> FitReport:
@@ -150,15 +127,9 @@ def cw_series(
     alpha,
     j: int,
     grid: GridSpec = DEFAULT_GRID,
-    threads: int | None = None,
 ) -> list[tuple[int, float]]:
     """G_{a,alpha,j}(x) over the grid (float mode), ordered by x."""
-    points = grid.points()
-
-    def one(x: int) -> tuple[int, float]:
-        return x, g_sum(GSumSpec(a, float(alpha), j, x))
-
-    return _pmap(one, points, threads)
+    return [(x, g_sum(GSumSpec(a, float(alpha), j, x))) for x in grid.points()]
 
 
 def cw_slope_test(
@@ -166,7 +137,6 @@ def cw_slope_test(
     alpha,
     j: int,
     grid: GridSpec = DEFAULT_GRID,
-    threads: int | None = None,
 ) -> FitReport:
     """Fitted growth exponent of log|G_{a,alpha,j}(x)| vs log x.
 
@@ -175,4 +145,4 @@ def cw_slope_test(
     """
     if j < 1:
         raise ValueError("slope test requires j >= 1")
-    return fit_loglog(cw_series(a, alpha, j, grid, threads))
+    return fit_loglog(cw_series(a, alpha, j, grid))

@@ -27,11 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .divisors import DivisorSpec, integer_root
+from .divisors import DivisorSpec, _sieve_chunk, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
-_INT64_GUARD = 2**62
 
 
 @dataclass
@@ -118,28 +117,21 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
 
 
-def _sieve_chunk(lo: int, hi: int, spec: DivisorSpec, root: int):
-    """Restricted divisor sums for n in [lo, hi) as one vectorized chunk."""
-    dtype = np.int64 if spec.exact else np.float64
-    arr = np.zeros(hi - lo, dtype=dtype)
-    for d in range(1, root + 1):
-        start = d**spec.a
-        if start >= hi:
-            break
-        if start < lo:
-            start = ((lo + d - 1) // d) * d
-        if start < hi:
-            arr[start - lo :: d] += d**spec.alpha if spec.exact else float(d) ** spec.alpha
-    return arr
+def _sieve_chunks(x: int, spec: DivisorSpec):
+    """(lo, chunk) pairs with chunk[i] = sigma_{a,alpha}(lo + i), covering 1..x.
 
-
-def _check_sieve_bounds(x: int, spec: DivisorSpec, root: int) -> None:
+    Not itself a generator: the int64 guard raises at the call, before the
+    caller allocates anything.  Chunks are computed one at a time.
+    """
+    root = integer_root(x, spec.a)
     # per-entry bound: every counted divisor power is <= root**alpha and a
     # single n has < 2*sqrt(n) divisors; chunk sums stay below int64
-    if spec.exact:
-        entry_bound = (root**spec.alpha) * 2 * (math.isqrt(x) + 1)
-        if entry_bound * _CHUNK >= 2**63:
-            raise OverflowError("sieve chunk sums may exceed int64 at this scale")
+    if spec.exact and (root**spec.alpha) * 2 * (math.isqrt(x) + 1) * _CHUNK >= 2**63:
+        raise OverflowError("sieve chunk sums may exceed int64 at this scale")
+    return (
+        (lo, _sieve_chunk(lo, min(lo + _CHUNK, x + 1), spec, root))
+        for lo in range(1, x + 1, _CHUNK)
+    )
 
 
 def summatory_bruteforce(x: int, spec: DivisorSpec):
@@ -156,14 +148,8 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
         raise ValueError(
             f"brute force is guarded at x <= {BRUTEFORCE_LIMIT}; use summatory_fast"
         )
-    if x == 0:
-        return 0 if spec.exact else 0.0
-    root = integer_root(x, spec.a)
-    _check_sieve_bounds(x, spec, root)
     total: int | float = 0 if spec.exact else 0.0
-    for lo in range(1, x + 1, _CHUNK):
-        hi = min(lo + _CHUNK, x + 1)
-        chunk = _sieve_chunk(lo, hi, spec, root)
+    for _, chunk in _sieve_chunks(x, spec):
         total += int(chunk.sum()) if spec.exact else float(chunk.sum())
     return total
 
@@ -177,12 +163,11 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """
     if limit < 1 or limit > BRUTEFORCE_LIMIT:
         raise ValueError(f"limit must be in [1, {BRUTEFORCE_LIMIT}]")
-    root = integer_root(limit, spec.a)
-    _check_sieve_bounds(limit, spec, root)
+    chunks = _sieve_chunks(limit, spec)
     full = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
-    for lo in range(1, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
-        full[lo:hi] = _sieve_chunk(lo, hi, spec, root)
+    for lo, chunk in chunks:
+        full[lo : lo + len(chunk)] = chunk
+        del chunk  # free it before the next chunk is sieved and the cumsum runs
     if spec.exact:
         exact_total = sum(int(full[i : i + _CHUNK].sum()) for i in range(0, limit + 1, _CHUNK))
         cum = np.cumsum(full)

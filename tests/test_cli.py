@@ -178,3 +178,16 @@ def test_internal_breach_exit_3(monkeypatch):
     code, _, err = run(parser_cmd)
     assert code == 3
     assert err.startswith("error: invariant breach")
+
+
+def test_memory_error_exit_2(monkeypatch):
+    # an input too large to allocate fails cleanly with exit code 2
+    import cwlab.cli as cli
+
+    def too_large(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.__dict__, "_cmd_summatory", too_large)
+    code, _, err = run(["summatory", "--x", "10"])
+    assert code == 2
+    assert err.startswith("error:")

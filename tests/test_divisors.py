@@ -101,6 +101,18 @@ def test_tables_match_per_n():
         assert sq[n] == is_square(n)
 
 
+def test_tables_float_mode():
+    rng = random.Random(31)
+    limit = 2 * 10**4
+    for a in (2, 3):
+        for alpha in (0.5, 2.0):
+            spec = DivisorSpec(a, alpha)
+            table = restricted_sigma_table(limit, spec)
+            assert table.dtype == np.float64
+            for n in [1, 2**a, limit, *rng.sample(range(1, limit + 1), 100)]:
+                assert table[n] == pytest.approx(divisor_sum_restricted(n, spec), rel=1e-12)
+
+
 def test_monotone_bound():
     limit = 10**5
     for a in (2, 3, 4):

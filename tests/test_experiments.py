@@ -101,8 +101,8 @@ def test_residual_series_zero_model():
 def test_residual_series_deterministic():
     grid = GridSpec(1000, 4.0, 5)
     model = sqrt_restricted_model(1)
-    one = residual_series(DivisorSpec(2, 1), model, grid, threads=1)
-    two = residual_series(DivisorSpec(2, 1), model, grid, threads=8)
+    one = residual_series(DivisorSpec(2, 1), model, grid)
+    two = residual_series(DivisorSpec(2, 1), model, grid)
     assert [(p.x, p.exact, str(p.residual)) for p in one] == [
         (p.x, p.exact, str(p.residual)) for p in two
     ]
@@ -134,13 +134,3 @@ def test_fit_stability_drop_largest():
     trimmed = fit_loglog(series[:-1])
     assert abs(full.slope - trimmed.slope) < 0.3
 
-
-def test_threads_env_default(monkeypatch):
-    from cwlab.experiments import default_threads
-
-    monkeypatch.setenv("CWLAB_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("CWLAB_THREADS", "junk")
-    assert default_threads() >= 1
-    monkeypatch.delenv("CWLAB_THREADS")
-    assert default_threads() >= 1

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -96,16 +97,32 @@ def test_bruteforce_guard():
         summatory_bruteforce(BRUTEFORCE_LIMIT + 1, DivisorSpec(2, 0))
 
 
+def test_bruteforce_overflow_guard():
+    # the int64 guard refuses before anything limit-sized is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            summatory_bruteforce(10**6, DivisorSpec(2, 3))
+        with pytest.raises(OverflowError):
+            summatory_bruteforce_table(10**6, DivisorSpec(2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # an int64 array of 10**6 entries is 8 MB
+
+
 def test_bruteforce_chunking():
-    # totals must not depend on chunk boundaries
+    # totals and tables must not depend on chunk boundaries
     import cwlab.summatory as s
 
     spec = DivisorSpec(2, 1)
     want = summatory_bruteforce(3 * 10**4, spec)
+    want_table = summatory_bruteforce_table(3 * 10**4, spec)
     old = s._CHUNK
     try:
         s._CHUNK = 7_919
         assert summatory_bruteforce(3 * 10**4, spec) == want
+        assert (summatory_bruteforce_table(3 * 10**4, spec) == want_table).all()
     finally:
         s._CHUNK = old
 
