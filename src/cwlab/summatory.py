@@ -14,8 +14,10 @@ Chowla-Walum components
     x*G_{a,alpha-1,0}(x) - G_{a,alpha+a-1,0}(x)
         + (1/2)*G_{a,alpha,0}(x) - G_{a,alpha,1}(x).
 
-Integer mode keeps everything in Python ints and exact Fractions, so
-"fast equals brute force" is an exact integer equality, not a tolerance.
+summatory_fast sums over d in chunks, in int64 where x < 2**63 and a
+per-chunk bound proves no sum can wrap, else in Python-int object arrays.
+Totals are Python ints in integer mode, so "fast equals brute force" is an
+exact integer equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .divisors import DivisorSpec, _sieve_chunk, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
+_FAST_CHUNK = 1 << 14
 
 
 @dataclass
@@ -93,28 +96,34 @@ class SummatoryBreakdown:
 
 
 def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
-    """Sublinear evaluator: O(x^(1/a)) terms, exact in integer mode."""
+    """Sublinear evaluator: O(x^(1/a)) terms, exact in integer mode, float needs x < 2**63."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"x must be an integer, got {x!r}")
     if x < 0:
         raise ValueError("x must be >= 0")
+    if not spec.exact and x >= 2**63:
+        raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
-    if spec.exact:
-        s_floor = s_pow = s_alpha = 0
-        for d in range(1, cut + 1):
-            da = d**alpha
-            s_floor += da * (x // d)
-            s_pow += da * d ** (a - 1)
-            s_alpha += da
-        total = s_floor - s_pow + s_alpha
-        return SummatoryBreakdown(x, spec, total, cut, s_floor, s_pow, s_alpha)
-    d = np.arange(1, cut + 1, dtype=np.int64)
-    w = d.astype(np.float64) ** alpha
-    s_floor = float(np.sum(w * (x // d)))
-    s_pow = float(np.sum(w * d.astype(np.float64) ** (a - 1)))
-    s_alpha = float(np.sum(w))
+    num = int if spec.exact else float
+    s_floor = s_pow = s_alpha = num(0)
+    for lo in range(1, cut + 1, _FAST_CHUNK):
+        hi = min(lo + _FAST_CHUNK - 1, cut)
+        dtype = object if spec.exact and not _fits_int64(x, lo, hi, a, alpha) else np.int64
+        d = np.arange(lo, hi + 1, dtype=dtype)
+        w = d**alpha if spec.exact else d.astype(np.float64) ** alpha
+        s_floor += num((w * (x // d)).sum())
+        s_pow += num((w * d ** (a - 1)).sum())
+        s_alpha += num(w.sum())
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
+
+
+def _fits_int64(x: int, lo: int, hi: int, a: int, alpha: int) -> bool:
+    """Whether every exact term and sum over d in lo..hi provably stays below 2**63."""
+    # d^alpha * floor(x/d) <= x * hi^(alpha-1), or x // lo at alpha = 0;
+    # d^(alpha+a-1) <= hi^(alpha+a-1), which also bounds d^alpha and d^(a-1)
+    top = max(x * hi ** (alpha - 1) if alpha >= 1 else x // lo, hi ** (alpha + a - 1))
+    return x < 2**63 and top * (hi - lo + 1) < 2**63
 
 
 def _sieve_chunks(x: int, spec: DivisorSpec):

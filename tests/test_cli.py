@@ -141,6 +141,14 @@ def test_invalid_input_exit_2():
     assert err.startswith("error:")
 
 
+def test_float_mode_x_beyond_int64_exit_2():
+    code, _, err = run(["summatory", "--x", "18446744073709551623", "--alpha", "1.0",
+                        "--mode", "fast"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_bruteforce_guard_exit_2():
     code, _, err = run(["summatory", "--a", "2", "--alpha", "0", "--x", str(10**9),
                         "--mode", "brute"])

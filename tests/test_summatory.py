@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from cwlab.cw_sums import GSumSpec, g_sum
-from cwlab.divisors import DivisorSpec, divisor_sum_restricted
+from cwlab.divisors import DivisorSpec, divisor_sum_restricted, integer_root
 from cwlab.summatory import (
     BRUTEFORCE_LIMIT,
+    _FAST_CHUNK,
+    _fits_int64,
     summatory_bruteforce,
     summatory_bruteforce_table,
     summatory_fast,
@@ -20,6 +22,27 @@ SPECS = [DivisorSpec(a, alpha) for a in (2, 3, 4) for alpha in (0, 1, 2)]
 def per_n_reference(x: int, spec: DivisorSpec):
     # definitional oracle: sum the per-n restricted divisor sums
     return sum(divisor_sum_restricted(n, spec) for n in range(1, x + 1))
+
+
+def loop_reference(x: int, spec: DivisorSpec):
+    # term-by-term Python-int loop over d <= x^(1/a): the kernel's reference
+    a, alpha = spec.a, spec.alpha
+    cut = integer_root(x, a) if x >= 1 else 0
+    s_floor = s_pow = s_alpha = 0
+    for d in range(1, cut + 1):
+        da = d**alpha
+        s_floor += da * (x // d)
+        s_pow += da * d ** (a - 1)
+        s_alpha += da
+    return s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha
+
+
+def fast_fields(x: int, spec: DivisorSpec):
+    # term_psi reads _s_floor and _s_alpha, so all accumulators must match
+    b = summatory_fast(x, spec)
+    fields = (b.total, b.cutoff, b._s_floor, b._s_pow, b._s_alpha)
+    assert all(type(v) is int for v in fields)
+    return fields
 
 
 def test_examples():
@@ -144,6 +167,71 @@ def test_real_alpha_mode():
     b = summatory_bruteforce(10**4, DivisorSpec(2, 1.5))
     fast = summatory_fast(10**4, DivisorSpec(2, 1.5)).total
     assert b == pytest.approx(fast, rel=1e-9)
+
+
+def test_fast_chunk_boundaries(monkeypatch):
+    import cwlab.summatory as s
+
+    p = 97
+    cases = [(c**2 + r, DivisorSpec(2, alpha)) for c in (p - 1, p, p + 1, 3 * p, 5 * p + 2)
+             for r in (-1, 0, 1) for alpha in (0, 1, 2)]
+    # cutoff 10**5 in chunks of 97: early chunks pass the int64 bound, later ones do not
+    chunks = [(lo, min(lo + p - 1, 10**5)) for lo in range(1, 10**5 + 1, p)]
+    assert {_fits_int64(10**10, lo, hi, 2, 3) for lo, hi in chunks} == {True, False}
+    cases.append((10**10, DivisorSpec(2, 3)))
+    # alpha = 0: later chunks pass the term bound, so only x < 2**63 keeps them off int64
+    cases.append((2**63 + 1, DivisorSpec(4, 0)))
+    want = [fast_fields(x, spec) for x, spec in cases]
+    monkeypatch.setattr(s, "_FAST_CHUNK", p)
+    for (x, spec), w in zip(cases, want):
+        assert fast_fields(x, spec) == w == loop_reference(x, spec)
+
+
+@pytest.mark.parametrize("a", (2, 3, 4))
+def test_fast_perfect_powers(a):
+    for D in (1, 2, 10, 97, _FAST_CHUNK - 1, _FAST_CHUNK, _FAST_CHUNK + 1):
+        if D**a > 10**15:
+            continue
+        for x in (D**a - 1, D**a):
+            for alpha in (0, 1, 2):
+                spec = DivisorSpec(a, alpha)
+                assert fast_fields(x, spec) == loop_reference(x, spec)
+
+
+@pytest.mark.parametrize("alpha", (0, 1, 2, 3))
+def test_fast_near_int64_limit(alpha):
+    # cutoff ~55k with a = 4; x >= 2**63 must take the object dtype
+    spec = DivisorSpec(4, alpha)
+    for x in (2**63 - 1, 2**63, 2**63 + 1):
+        assert fast_fields(x, spec) == loop_reference(x, spec)
+
+
+def test_fast_object_dtype_below_int64():
+    # x < 2**63, but d^4 * floor(x/d) summed over a chunk would wrap int64
+    x, spec = 10**10, DivisorSpec(2, 4)
+    assert not _fits_int64(x, 1, _FAST_CHUNK, 2, 4)
+    assert fast_fields(x, spec) == loop_reference(x, spec)
+
+
+def test_fast_float_refuses_x_beyond_int64():
+    for a in (2, 10):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            summatory_fast(2**64 + 7, DivisorSpec(a, 1.0))
+    # exact mode accepts any x
+    spec = DivisorSpec(10, 1)
+    assert fast_fields(2**64 + 7, spec) == loop_reference(2**64 + 7, spec)
+
+
+def test_fast_memory_bounded():
+    # no array longer than one chunk: 1e6 terms would need 8 MB per int64 array
+    for spec in (DivisorSpec(2, 1.0), DivisorSpec(2, 1)):
+        tracemalloc.start()
+        try:
+            summatory_fast(10**12, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, spec
 
 
 def test_input_validation():
