@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import random
@@ -74,38 +75,40 @@ def _jsonable(v):
 
 
 def _emit(command: str, params: dict, rows: list[dict], args, extra: dict | None = None) -> None:
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        if args.format == "json":
-            payload = {
-                "command": command,
-                "params": {k: _jsonable(v) for k, v in params.items()},
-            }
-            if len(rows) == 1 and extra is None:
-                payload["result"] = {k: _jsonable(v) for k, v in rows[0].items()}
-            else:
-                payload["result"] = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
-            if extra is not None:
-                payload.update({k: {kk: _jsonable(vv) for kk, vv in v.items()} if isinstance(v, dict) else _jsonable(v) for k, v in extra.items()})
-            json.dump(payload, out)
-            out.write("\n")
+    """Format the whole output, then write it: a value too long to print
+    raises before any byte reaches stdout or --out is opened."""
+    if args.format == "json":
+        payload = {
+            "command": command,
+            "params": {k: _jsonable(v) for k, v in params.items()},
+        }
+        if len(rows) == 1 and extra is None:
+            payload["result"] = {k: _jsonable(v) for k, v in rows[0].items()}
         else:
-            flat_extra = {}
-            if extra is not None:
-                for k, v in extra.items():
-                    if isinstance(v, dict):
-                        for kk, vv in v.items():
-                            flat_extra[f"{k}_{kk}"] = vv
-                    else:
-                        flat_extra[k] = v
-            writer = csv.writer(out, lineterminator="\n")
-            header = list(rows[0].keys()) + list(flat_extra.keys())
-            writer.writerow(header)
-            for r in rows:
-                writer.writerow([_fmt(x) for x in list(r.values()) + list(flat_extra.values())])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            payload["result"] = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
+        if extra is not None:
+            payload.update({k: {kk: _jsonable(vv) for kk, vv in v.items()} if isinstance(v, dict) else _jsonable(v) for k, v in extra.items()})
+        text = json.dumps(payload) + "\n"
+    else:
+        flat_extra = {}
+        if extra is not None:
+            for k, v in extra.items():
+                if isinstance(v, dict):
+                    for kk, vv in v.items():
+                        flat_extra[f"{k}_{kk}"] = vv
+                else:
+                    flat_extra[k] = v
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list(rows[0].keys()) + list(flat_extra.keys()))
+        for r in rows:
+            writer.writerow([_fmt(x) for x in list(r.values()) + list(flat_extra.values())])
+        text = buf.getvalue()
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(text)
 
 
 def _parse_grid(text: str) -> GridSpec:

@@ -6,8 +6,11 @@ with B_j the periodic Bernoulli functions (B_0 = 1, B_1 = psi).  a = 2
 recovers the classical sums whose cancellation behaviour the Chowla-Walum
 conjecture quantifies; j = 0 additionally admits negative alpha.
 
-Exact mode (integer x, integer alpha) accumulates rationals dyadic block by
-dyadic block, so cancellation-prone values are never touched by rounding.
+Exact mode (integer x, integer alpha) splits every term at its remainder
+r = x mod d into an integer part, summed over numpy chunks in int64 where a
+bound proves it safe, and a proper fraction s/d^e, folded by a gcd-reducing
+binary merge; one Fraction is formed at the end, so cancellation-prone
+values are never touched by rounding.
 Float mode is a vectorized double-precision pass: with integer x the
 fractional parts {x/d} come from the exact remainder x mod d, which keeps
 the sawtooth accurate even when x/d is far above 2^53 * ulp territory.
@@ -27,10 +30,15 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
+from . import summatory
 from .bernoulli import bernoulli_coefficients, psi
 from .divisors import integer_root
 
 _INT64_SAFE_X = 2**62
+# work budget of one exact range sum in terms (x <= 1.1e12 at a = 2); the
+# common denominator grows by about 0.43 * e digits a term, and G_{2,1,2}
+# (e = 1) takes 26 s at the limit
+_EXACT_TERMS_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,35 +100,69 @@ def gsum_cutoff(x, a) -> int:
 
 
 def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
-    """sum_{lo <= d <= hi} d^alpha B_j({x/d}) in exact arithmetic."""
-    if lo > hi:
-        return 0 if j == 0 and alpha >= 0 else Fraction(0)
-    if j == 0:
-        if alpha >= 0:
-            return sum(d**alpha for d in range(lo, hi + 1))
-        return sum(Fraction(1, d**-alpha) for d in range(lo, hi + 1))
-    if j == 1:
-        if alpha >= 1:
-            # d^alpha * psi(x/d) = d^(alpha-1) r_d - d^alpha / 2, all integer
-            num = 0
-            half = 0
-            for d in range(lo, hi + 1):
-                num += d ** (alpha - 1) * (x % d)
-                half += d**alpha
-            return num - Fraction(half, 2)
-        total = Fraction(0)
-        for d in range(lo, hi + 1):
-            total += Fraction(x % d, d)
-        return total - Fraction(hi - lo + 1, 2)
+    """sum_{lo <= d <= hi} d^alpha B_j({x/d}) in exact arithmetic.
+
+    With r = x mod d and c = den_c * B_j scaled to integer coefficients, each
+    term is P_d / (den_c * d^e), where e = max(j - alpha, 0) and
+    P_d = d^max(alpha - j, 0) * sum_k c_k r^k d^(j-k).  divmod(P_d, d^e)
+    splits it into a whole part, summed per chunk in numpy, and a proper
+    fraction s_d / d^e, folded by summatory._fraction_sum.  Int for j = 0 and
+    alpha >= 0, Fraction otherwise.
+    """
+    if hi - lo + 1 > _EXACT_TERMS_LIMIT:
+        raise ValueError(
+            f"{hi - lo + 1} exact terms exceed the work budget of {_EXACT_TERMS_LIMIT}"
+        )
     coeffs = bernoulli_coefficients(j)
-    total = Fraction(0)
-    for d in range(lo, hi + 1):
-        f = Fraction(x % d, d)
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * f + c
-        total += d**alpha * acc
-    return total
+    den_c = math.lcm(*(b.denominator for b in coeffs))
+    c = [int(b * den_c) for b in coeffs]
+    e, lift = max(j - alpha, 0), max(alpha - j, 0)
+    weight, power = sum(map(abs, c)), max(j, abs(alpha))
+    whole = 0
+
+    def proper_fractions():
+        nonlocal whole
+        for start in range(lo, hi + 1, summatory._FAST_CHUNK):
+            end = min(start + summatory._FAST_CHUNK - 1, hi)
+            dtype = np.int64 if _terms_fit_int64(end, end - start + 1, weight, power) else object
+            d = np.arange(start, end + 1, dtype=dtype)
+            if j:
+                # r < d fits d's dtype even where x does not
+                r = x % d if x < 2**63 else (x % d.astype(object)).astype(dtype)
+            # homogeneous Horner: p = sum_{i >= k} c_i r^(i-k) d^(j-i) at step k
+            p, d_pow = np.full_like(d, c[j]), 1
+            for k in range(j - 1, -1, -1):
+                d_pow = d_pow * d
+                p = p * r
+                if c[k]:
+                    p += c[k] * d_pow
+            if lift:
+                p *= d**lift
+            if not e:
+                whole += int(p.sum())
+                continue
+            den = d**e
+            s = p % den
+            whole += int((p // den).sum())
+            keep = s != 0
+            s, den = s[keep], den[keep]
+            # Python-int copies in slices of 1024 keep the peak memory low
+            for i in range(0, len(s), 1024):
+                yield from zip(s[i : i + 1024].tolist(), den[i : i + 1024].tolist())
+
+    num, den = summatory._fraction_sum(proper_fractions())
+    if j == 0 and alpha >= 0:
+        return whole
+    return Fraction(whole * den + num, den * den_c)
+
+
+def _terms_fit_int64(hi: int, length: int, weight: int, power: int) -> bool:
+    """Whether a chunk of length terms with d <= hi provably stays below 2**63.
+
+    Every Horner value, power of d and whole part is at most weight * hi**power,
+    with weight the sum of |c_k|, so a chunk sum is at most length times that.
+    """
+    return weight * hi**power * length < 2**63
 
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
@@ -156,21 +198,16 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
 def g_sum(spec: GSumSpec):
     """G_{a,alpha,j}(x).  Exact rational in exact mode, float otherwise.
 
-    x in [0, 1) gives the empty sum 0.  Exact mode assembles the value from
-    the d = 1 head term plus the dyadic blocks (N, 2N], which is also the
-    decomposition block_g exposes.
+    x in [0, 1) gives the empty sum 0.  Exact mode is one integer-split
+    range sum over 1..cutoff and refuses a cutoff above _EXACT_TERMS_LIMIT;
+    the d = 1 head term plus the dyadic blocks of block_g reassemble it.
     """
     cut = spec.cutoff
     if cut == 0:
         return Fraction(0) if spec.exact else 0.0
     if not spec.exact:
         return _float_range_sum(spec.x, spec.alpha, spec.j, 1, cut)
-    total = _exact_range_sum(spec.x, spec.alpha, spec.j, 1, 1)
-    n = 1
-    while n < cut:
-        total += _exact_range_sum(spec.x, spec.alpha, spec.j, n + 1, min(2 * n, cut))
-        n *= 2
-    return total
+    return _exact_range_sum(spec.x, spec.alpha, spec.j, 1, cut)
 
 
 def block_g(n_start: int, spec: GSumSpec):

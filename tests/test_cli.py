@@ -199,3 +199,22 @@ def test_memory_error_exit_2(monkeypatch):
     code, _, err = run(["summatory", "--x", "10"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_overlong_exact_value_writes_nothing(tmp_path):
+    # the value's numerator passes the 4,300-digit int-to-str limit
+    argv = ["gsum", "--x", "1000000000", "--alpha", "1", "--j", "2", "--a", "2"]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    target = tmp_path / "result.json"
+    code, out, err = run(argv + ["--format", "json", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert not target.exists()
+
+
+def test_summatory_work_budget_exit_2():
+    code, out, err = run(["summatory", "--x", str(10**24), "--alpha", "1"])
+    assert (code, out) == (2, "")
+    assert "work budget" in err and err.startswith("error:")

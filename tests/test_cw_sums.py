@@ -1,12 +1,60 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cwlab.bernoulli import psi
-from cwlab.cw_sums import GSumSpec, block_g, g_sum, gsum_cutoff, shifted_psi_block_sum
+from cwlab.bernoulli import bernoulli_coefficients, psi
+from cwlab.cw_sums import (
+    _EXACT_TERMS_LIMIT,
+    GSumSpec,
+    _exact_range_sum,
+    _terms_fit_int64,
+    block_g,
+    g_sum,
+    gsum_cutoff,
+    shifted_psi_block_sum,
+)
 from cwlab.divisors import integer_root
+
+
+def reference_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
+    # per-term Fraction loop over lo <= d <= hi: the exact kernel's reference
+    if lo > hi:
+        return 0 if j == 0 and alpha >= 0 else Fraction(0)
+    if j == 0:
+        if alpha >= 0:
+            return sum(d**alpha for d in range(lo, hi + 1))
+        return sum(Fraction(1, d**-alpha) for d in range(lo, hi + 1))
+    if j == 1:
+        if alpha >= 1:
+            # d^alpha * psi(x/d) = d^(alpha-1) r_d - d^alpha / 2, all integer
+            num = 0
+            half = 0
+            for d in range(lo, hi + 1):
+                num += d ** (alpha - 1) * (x % d)
+                half += d**alpha
+            return num - Fraction(half, 2)
+        total = Fraction(0)
+        for d in range(lo, hi + 1):
+            total += Fraction(x % d, d)
+        return total - Fraction(hi - lo + 1, 2)
+    coeffs = bernoulli_coefficients(j)
+    total = Fraction(0)
+    for d in range(lo, hi + 1):
+        f = Fraction(x % d, d)
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * f + c
+        total += d**alpha * acc
+    return total
+
+
+def same(got, want) -> bool:
+    return type(got) is type(want) and got == want
 
 
 def test_spec_validation():
@@ -159,3 +207,79 @@ def test_shifted_psi_block_float_mode():
     e = shifted_psi_block_sum(3, 16, 0, -1)
     f = shifted_psi_block_sum(3, 16.0, 0, -1)
     assert f == pytest.approx(float(e), abs=1e-12)
+
+
+# j in 0..4 with alpha in -3..4, negative alpha only at j = 0
+ALPHA_J = st.integers(0, 4).flatmap(
+    lambda j: st.tuples(st.integers(-3 if j == 0 else 0, 4), st.just(j))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.sampled_from((2, 3, Fraction(3, 2))),
+    x=st.one_of(st.integers(0, 10**5), st.integers(0, 2**70), st.integers(2**63 - 50, 2**63 + 50)),
+    alpha_j=ALPHA_J,
+    data=st.data(),
+)
+def test_kernel_matches_fraction_loop(a, x, alpha_j, data):
+    alpha, j = alpha_j
+    cut = gsum_cutoff(x, a)
+    lo = data.draw(st.integers(1, max(cut, 1)), label="lo")
+    hi = data.draw(st.integers(lo - 1, min(cut, lo + 400)), label="hi")
+    assert same(_exact_range_sum(x, alpha, j, lo, hi), reference_range_sum(x, alpha, j, lo, hi))
+    if cut <= 2000:
+        want = reference_range_sum(x, alpha, j, 1, cut) if cut else Fraction(0)
+        assert same(g_sum(GSumSpec(a, alpha, j, x)), want)
+
+
+def test_kernel_chunk_boundaries(monkeypatch):
+    import cwlab.summatory as s
+
+    p = 97
+    cases = [(x, alpha, j, lo, hi) for x in (10**6 + 3, 2**63 + 9)
+             for alpha, j in ((0, 1), (1, 2), (0, 2), (-2, 0), (3, 3), (0, 4))
+             for lo, hi in ((1, p - 1), (1, p), (1, p + 1), (5, 3 * p + 4), (p, 5 * p))]
+    # in chunks of 97, weight * d**4 * 97 < 2**63 holds for the first chunks of
+    # these ranges and fails for the last: G_{a,4,0} (weight 1) and
+    # G_{a,0,4} (weight 121, B_4 scaled by 30)
+    for x, alpha, j, lo, hi, weight in ((10**9 + 7, 4, 0, 17_000, 18_000, 1),
+                                         (2**64 + 7, 0, 4, 5_000, 5_600, 121)):
+        chunks = [(c, min(c + p - 1, hi)) for c in range(lo, hi + 1, p)]
+        assert {_terms_fit_int64(e, e - c + 1, weight, 4) for c, e in chunks} == {True, False}
+        cases.append((x, alpha, j, lo, hi))
+    want = [_exact_range_sum(*case) for case in cases]
+    monkeypatch.setattr(s, "_FAST_CHUNK", p)
+    for case, w in zip(cases, want):
+        got = _exact_range_sum(*case)
+        assert same(got, w) and same(got, reference_range_sum(*case)), case
+
+
+def test_kernel_on_benchmark_inputs():
+    # the benchmark's exact G sums at its smallest scale, over the full cutoff
+    for alpha, j in ((0, 1), (1, 1), (1, 2), (0, 2), (-1, 0)):
+        spec = GSumSpec(2, alpha, j, 10**7 + 12_345)
+        assert same(g_sum(spec), reference_range_sum(spec.x, alpha, j, 1, spec.cutoff))
+
+
+def test_exact_g_sum_memory_bounded():
+    # the fractions are merged as they come (peak about 1 MB); a list of all
+    # 31,622 pairs would raise the peak to about 4.5 MB
+    for alpha, j in ((0, 1), (1, 2), (0, 2)):
+        tracemalloc.start()
+        try:
+            g_sum(GSumSpec(2, alpha, j, 10**9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, (alpha, j)
+
+
+def test_exact_work_budget():
+    # refused from the cutoff alone, before any term is computed
+    x = (_EXACT_TERMS_LIMIT + 1) ** 2
+    with pytest.raises(ValueError, match="work budget"):
+        g_sum(GSumSpec(2, 1, 2, x))
+    with pytest.raises(ValueError, match="work budget"):
+        block_g(_EXACT_TERMS_LIMIT + 1, GSumSpec(2, 0, 1, 10**20))
+    assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)   # float mode has no budget

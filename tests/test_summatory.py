@@ -8,9 +8,11 @@ import pytest
 from cwlab.cw_sums import GSumSpec, g_sum
 from cwlab.divisors import DivisorSpec, divisor_sum_restricted, integer_root
 from cwlab.summatory import (
+    _FAST_CUTOFF_LIMIT,
     BRUTEFORCE_LIMIT,
     _FAST_CHUNK,
     _fits_int64,
+    _fraction_sum,
     summatory_bruteforce,
     summatory_bruteforce_table,
     summatory_fast,
@@ -241,3 +243,30 @@ def test_input_validation():
         summatory_fast(10.5, DivisorSpec(2, 0))
     with pytest.raises(ValueError):
         summatory_bruteforce(-2, DivisorSpec(2, 0))
+
+
+def test_fast_work_budget():
+    # refused from the cutoff alone, before any chunk is built
+    for a, alpha in ((2, 0), (2, 1), (2, 1.0), (3, 2)):
+        with pytest.raises(ValueError, match="work budget"):
+            summatory_fast((_FAST_CUTOFF_LIMIT + 1) ** a, DivisorSpec(a, alpha))
+    with pytest.raises(ValueError, match="work budget"):
+        summatory_fast(10**24, DivisorSpec(2, 1))
+
+
+def test_harmonic_sum_matches_fraction_loop():
+    for x in (1, 2, 17, 10**4 + 1, 4 * 10**6 + 3):
+        b = summatory_fast(x, DivisorSpec(2, 0))
+        want = sum(Fraction(1, d) for d in range(1, b.cutoff + 1))
+        assert b.term_main == x * want and type(b.term_main) is Fraction
+
+
+def test_fraction_sum_merge():
+    rng = random.Random(71)
+    for n in (0, 1, 2, 3, 7, 8, 9, 100, 1025):
+        pairs = [(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(n)]
+        num, den = _fraction_sum(iter(pairs))
+        assert Fraction(num, den) == sum((Fraction(p, q) for p, q in pairs), Fraction(0))
+    # denominators stay at the lcm, not the product
+    num, den = _fraction_sum((1, d) for d in range(1, 41))
+    assert den == math.lcm(*range(1, 41))
