@@ -20,20 +20,18 @@ interest is ~10^10, far below double precision's reach.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
-from .bernoulli import bernoulli_poly
 from .cw_sums import gsum_cutoff
 from .divisors import integer_root
 
 DEFAULT_DPS = 50
 
-# Euler-Mascheroni constant to 50 digits, cross-checked at import against an
-# independent harmonic-sum computation (see euler_gamma_independent).
+# Euler-Mascheroni constant to 50 digits; invariants.gamma_cross_check checks
+# it against an independent harmonic-sum computation.
 EULER_GAMMA_STR = "0.57721566490153286060651209008240243104215933593992"
 
 UNCONDITIONAL_THETA0 = Fraction(517, 1648)
@@ -44,33 +42,6 @@ def euler_gamma(dps: int = DEFAULT_DPS):
     """gamma as an mpf at the requested working precision."""
     with mp.workdps(dps):
         return mp.mpf(EULER_GAMMA_STR)
-
-
-def euler_gamma_independent(n: int = 100, correction_order: int = 4, dps: int = 60):
-    """gamma from H_n - log n - 1/(2n) + sum B_2k/(2k n^2k), k <= order.
-
-    The harmonic number and the Bernoulli corrections are exact rationals;
-    only log n is floating.  With n = 100 and order 4 the truncation error
-    is below 1e-22, comfortably inside the 1e-20 startup tolerance.
-    """
-    harmonic = sum(Fraction(1, d) for d in range(1, n + 1))
-    corr = sum(
-        bernoulli_poly(2 * k, 0) / (2 * k * Fraction(n) ** (2 * k))
-        for k in range(1, correction_order + 1)
-    )
-    rational_part = harmonic - Fraction(1, 2 * n) + corr
-    with mp.workdps(dps):
-        return mp.mpf(rational_part.numerator) / rational_part.denominator - mp.log(n)
-
-
-def _startup_gamma_check() -> None:
-    with mp.workdps(60):
-        diff = abs(euler_gamma(60) - euler_gamma_independent())
-        if diff > mp.mpf("1e-20"):
-            raise RuntimeError(f"stored gamma disagrees with independent computation by {diff}")
-
-
-_startup_gamma_check()
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from . import asymptotics, bernoulli, cw_sums, divisors, exponent_pairs, summatory
-from .cw_sums import GSumSpec, g_sum, gsum_cutoff, shifted_psi_block_sum
+from . import asymptotics, divisors, exponent_pairs, invariants as inv
+from .cw_sums import GSumSpec, g_sum, shifted_psi_block_sum
 from .divisors import DivisorSpec
 from .exponent_pairs import ExponentPair, apply_word, gsum_exponent_bound, parse_rational
 from .experiments import DEFAULT_GRID, GridSpec, cw_series, fit_loglog, residual_series
@@ -77,33 +77,39 @@ def _jsonable(v):
 def _emit(command: str, params: dict, rows: list[dict], args, extra: dict | None = None) -> None:
     """Format the whole output, then write it: a value too long to print
     raises before any byte reaches stdout or --out is opened."""
-    if args.format == "json":
-        payload = {
-            "command": command,
-            "params": {k: _jsonable(v) for k, v in params.items()},
-        }
-        if len(rows) == 1 and extra is None:
-            payload["result"] = {k: _jsonable(v) for k, v in rows[0].items()}
+    try:
+        if args.format == "json":
+            payload = {
+                "command": command,
+                "params": {k: _jsonable(v) for k, v in params.items()},
+            }
+            if len(rows) == 1 and extra is None:
+                payload["result"] = {k: _jsonable(v) for k, v in rows[0].items()}
+            else:
+                payload["result"] = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
+            if extra is not None:
+                payload.update({k: {kk: _jsonable(vv) for kk, vv in v.items()} if isinstance(v, dict) else _jsonable(v) for k, v in extra.items()})
+            text = json.dumps(payload) + "\n"
         else:
-            payload["result"] = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
-        if extra is not None:
-            payload.update({k: {kk: _jsonable(vv) for kk, vv in v.items()} if isinstance(v, dict) else _jsonable(v) for k, v in extra.items()})
-        text = json.dumps(payload) + "\n"
-    else:
-        flat_extra = {}
-        if extra is not None:
-            for k, v in extra.items():
-                if isinstance(v, dict):
-                    for kk, vv in v.items():
-                        flat_extra[f"{k}_{kk}"] = vv
-                else:
-                    flat_extra[k] = v
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(rows[0].keys()) + list(flat_extra.keys()))
-        for r in rows:
-            writer.writerow([_fmt(x) for x in list(r.values()) + list(flat_extra.values())])
-        text = buf.getvalue()
+            flat_extra = {}
+            if extra is not None:
+                for k, v in extra.items():
+                    if isinstance(v, dict):
+                        for kk, vv in v.items():
+                            flat_extra[f"{k}_{kk}"] = vv
+                    else:
+                        flat_extra[k] = v
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(list(rows[0].keys()) + list(flat_extra.keys()))
+            for r in rows:
+                writer.writerow([_fmt(x) for x in list(r.values()) + list(flat_extra.values())])
+            text = buf.getvalue()
+    except ValueError as exc:  # an int past Python's int-to-str digit limit
+        raise ValueError(
+            f"the exact value has more than {sys.get_int_max_str_digits()} digits, too many to print; "
+            "pass a float --alpha (e.g. 1.0) or a float --x to get a double-precision value"
+        ) from exc
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -395,238 +401,40 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify: reduced-scale invariant suites (deterministic, < 60 s total)
-# ---------------------------------------------------------------------------
-
-
-def _suite_bernoulli() -> tuple[bool, str]:
-    rng = random.Random(101)
-    for _ in range(400):
-        x = rng.uniform(-10, 10)
-        j = rng.randint(1, 6)
-        if abs(bernoulli.bernoulli_func(j, x + 1) - bernoulli.bernoulli_func(j, x)) > 1e-12:
-            return False, f"periodicity fails at j={j} x={x}"
-    h = 1e-6
-    for _ in range(100):
-        x = rng.uniform(0, 1)
-        j = rng.randint(1, 6)
-        deriv = (bernoulli.bernoulli_poly(j, x + h) - bernoulli.bernoulli_poly(j, x - h)) / (2 * h)
-        target = j * bernoulli.bernoulli_poly(j - 1, x)
-        if abs(deriv - target) > 1e-6:
-            return False, f"derivative recurrence fails at j={j} x={x}"
-    for j in range(1, 7):
-        coeffs = bernoulli.bernoulli_coefficients(j)
-        integral = sum(c / (i + 1) for i, c in enumerate(coeffs))
-        if integral != 0:
-            return False, f"exact integral of B_{j} is {integral}"
-        n = 2000
-        xs = [i / n for i in range(n + 1)]
-        vals = [float(bernoulli.bernoulli_poly(j, Fraction(i, n))) for i in range(n + 1)]
-        simpson = (
-            vals[0] + vals[-1]
-            + 4 * sum(vals[1:-1:2])
-            + 2 * sum(vals[2:-1:2])
-        ) / (3 * n)
-        if abs(simpson) > 1e-10:
-            return False, f"Simpson integral of B_{j} is {simpson}"
-    for j in (2, 3, 4):
-        for _ in range(30):
-            t = rng.uniform(0, 1)
-            diff = abs(bernoulli.bernoulli_fourier_truncated(j, t, 2000) - float(bernoulli.bernoulli_func(j, t)))
-            if diff > 1e-3:
-                return False, f"Fourier truncation off by {diff} at j={j}"
-    return True, "periodicity, recurrence, quadrature, Fourier"
-
-
-def _suite_divisors() -> tuple[bool, str]:
-    rng = random.Random(202)
-    limit = 10**5
-    tab = divisors.restricted_sigma_table(limit, DivisorSpec(2, 0))
-    tt = divisors.tau_table(limit)
-    sq = divisors.square_table(limit)
-    if not (2 * tab[1:] == tt[1:] + sq[1:]).all():
-        return False, "tau~ identity sweep fails"
-    for a in (2, 3, 4):
-        for alpha in (0, 1, 2):
-            rt = divisors.restricted_sigma_table(2 * 10**4, DivisorSpec(a, alpha))
-            for n in rng.sample(range(1, 2 * 10**4), 50):
-                if rt[n] > divisors.sigma_alpha(n, alpha):
-                    return False, f"monotone bound fails at n={n} a={a} alpha={alpha}"
-    for a in (2, 3, 4):
-        for d in range(1, 51):
-            n = d**a
-            if divisors.divisor_sum_restricted(n, DivisorSpec(a, 0)) < 1:
-                return False, "boundary inclusion fails"
-            if d not in [e for e in divisors._divisors(n) if e**a <= n]:
-                return False, f"boundary divisor {d} missing from n={n} a={a}"
-    for _ in range(2 * 10**4):
-        n = rng.randrange(10**18)
-        a = rng.randrange(2, 8)
-        d = divisors.integer_root(n, a)
-        if not (d**a <= n < (d + 1) ** a):
-            return False, f"root exactness fails at n={n} a={a}"
-    return True, "identity sweep 1e5, monotone, boundary, roots"
-
-
-def _suite_cw_sums() -> tuple[bool, str]:
-    rng = random.Random(303)
-    for _ in range(50):
-        x = rng.randrange(1, 10**6)
-        for a in (2, 3):
-            if g_sum(GSumSpec(a, 0, 0, x)) != divisors.integer_root(x, a):
-                return False, f"j=0 consistency fails at x={x} a={a}"
-            cut = gsum_cutoff(x, a)
-            if abs(g_sum(GSumSpec(a, 0, 1, x))) > Fraction(cut, 2):
-                return False, f"psi bound fails at x={x} a={a}"
-    for _ in range(40):
-        x = rng.randrange(2, 10**5)
-        a = rng.choice((2, 3))
-        alpha = rng.choice((0, 1, 2))
-        j = rng.choice((0, 1, 2))
-        spec = GSumSpec(a, alpha, j, x)
-        total = cw_sums._exact_range_sum(x, alpha, j, 1, 1)
-        n = 1
-        cut = spec.cutoff
-        while n < cut:
-            total += cw_sums.block_g(n, spec)
-            n *= 2
-        if total != g_sum(spec):
-            return False, f"block decomposition fails at x={x} a={a} alpha={alpha} j={j}"
-    for _ in range(25):
-        x = rng.randrange(10, 10**6)
-        a = rng.choice((2, 3))
-        alpha = rng.choice((0, 1, 2))
-        j = rng.choice((1, 2, 3))
-        e = g_sum(GSumSpec(a, alpha, j, x))
-        f = g_sum(GSumSpec(a, float(alpha), j, x))
-        if abs(float(e) - f) > 1e-8 * max(1.0, abs(float(e))):
-            return False, f"exact/float disagreement at x={x} a={a} alpha={alpha} j={j}"
-    return True, "j=0 consistency, psi bound, blocks, exact/float"
-
-
-def _suite_summatory() -> tuple[bool, str]:
-    rng = random.Random(404)
-    specs = [DivisorSpec(a, al) for a in (2, 3, 4) for al in (0, 1, 2)]
-    for spec in specs:
-        table = summatory.summatory_bruteforce_table(1500, spec)
-        for x in range(1, 1501):
-            if summatory_fast(x, spec).total != int(table[x]):
-                return False, f"oracle equivalence fails at x={x} {spec}"
-        for _ in range(5):
-            x = rng.randrange(1, 10**6)
-            if summatory_fast(x, spec).total != summatory_bruteforce(x, spec):
-                return False, f"oracle equivalence fails at x={x} {spec}"
-    for _ in range(20):
-        x = rng.randrange(1, 10**4)
-        spec = rng.choice(specs)
-        b = summatory_fast(x, spec)
-        if sum(b.terms()) != b.total:
-            return False, f"breakdown identity fails at x={x} {spec}"
-    prev = 0
-    for x in range(1, 300):
-        cur = summatory_fast(x, DivisorSpec(2, 1)).total
-        if cur < prev:
-            return False, f"monotonicity fails at x={x}"
-        prev = cur
-    return True, "fast=brute (1500 exhaustive + random 1e6), breakdown, monotone"
-
-
-def _suite_asymptotics() -> tuple[bool, str]:
-    rng = random.Random(505)
-    diff = abs(asymptotics.euler_gamma(60) - asymptotics.euler_gamma_independent())
-    if diff > mp.mpf("1e-20"):
-        return False, f"gamma cross-check off by {diff}"
-    model = asymptotics.sqrt_restricted_model(1)
-    coeffs = {t.exponent: t.coeff for t in model.terms}
-    if coeffs != {Fraction(3, 2): Fraction(2, 3), Fraction(1): Fraction(-1, 4)}:
-        return False, "alpha=1 model coefficients wrong"
-    prev_cw = prev_un = -1
-    for alpha in (0, Fraction(1, 2), 1, Fraction(3, 2), 2):
-        cwv = asymptotics.error_exponent(alpha, True)
-        unv = asymptotics.error_exponent(alpha, False)
-        if cwv > unv or cwv <= prev_cw or unv <= prev_un:
-            return False, "theta monotonicity fails"
-        prev_cw, prev_un = cwv, unv
-    for _ in range(200):
-        x = rng.randrange(10**4, 10**12)
-        d = math.isqrt(x)
-        with mp.workdps(50):
-            # cancellation of ~12 digits: keep the subtraction at 50 digits
-            resid = mp.mpf(d * (d + 1) // 2) - asymptotics.euler_maclaurin_partial_sum(x, 2, 1)
-            if not (-mp.mpf("1e-15") <= resid <= mp.mpf("0.125") + mp.mpf("1e-15")):
-                return False, f"beta=1 residual window fails at x={x}: {resid}"
-    for exp10 in range(3, 10):
-        x = 10**exp10
-        exact = math.fsum(1.0 / d for d in range(1, math.isqrt(x) + 1))
-        approx = float(asymptotics.euler_maclaurin_partial_sum(x, 2, -1))
-        if abs(exact - approx) > 10.0 / x:
-            return False, f"harmonic EM error too large at x={x}"
-    return True, "gamma, corollary coeffs, theta order, EM windows"
-
-
-def _suite_exponent_pairs() -> tuple[bool, str]:
-    rng = random.Random(606)
-    seed = exponent_pairs.BOURGAIN_SEED
-    if apply_word("BA^2", seed) != ExponentPair(Fraction(76, 207), Fraction(110, 207)):
-        return False, "BA^2 chain broken"
-    if apply_word("BA", seed) != ExponentPair(Fraction(55, 194), Fraction(55, 97)):
-        return False, "BA chain broken"
-    for _ in range(200):
-        k = Fraction(rng.randrange(0, 500), 1000)
-        l = Fraction(rng.randrange(500, 1001), 1000)
-        if k > l:
-            continue
-        p = ExponentPair(k, l)
-        if apply_word("BB", p) != p:
-            return False, f"B involution fails at {p}"
-    for length in range(7):
-        for bits in range(2**length):
-            word = "".join("AB"[(bits >> i) & 1] for i in range(length))
-            apply_word(word, seed)
-            apply_word(word, ExponentPair(Fraction(0), Fraction(1, 2)))
-    if exponent_pairs.settled_a_range(apply_word("BA", seed)) != (Fraction(3, 2), Fraction(97, 55)):
-        return False, "settled range wrong"
-    if asymptotics.error_exponent(1) - asymptotics.error_exponent(0) != Fraction(1, 2):
-        return False, "theta cross-check fails"
-    return True, "chains, involution, domain words<=6, settled range"
-
-
-def _suite_experiments() -> tuple[bool, str]:
-    rng = random.Random(707)
-    grid = GridSpec(10, 2.0, 12)
-    for _ in range(10):
-        s = rng.uniform(0, 2)
-        rep = fit_loglog([(x, x**s) for x in grid.points()])
-        if abs(rep.slope - s) > 1e-9:
-            return False, f"synthetic slope {s} recovered as {rep.slope}"
-    return True, "synthetic power laws"
-
-
+# verify: registry invariants at reduced scale, drawn from a Random seeded with the suite's name
 _SUITES = [
-    ("bernoulli", _suite_bernoulli),
-    ("divisors", _suite_divisors),
-    ("cw_sums", _suite_cw_sums),
-    ("summatory", _suite_summatory),
-    ("asymptotics", _suite_asymptotics),
-    ("exponent_pairs", _suite_exponent_pairs),
-    ("experiments", _suite_experiments),
+    ("bernoulli", "periodicity, recurrence, quadrature, Fourier", lambda rng: (
+        inv.bernoulli_periodicity(rng, 400), inv.bernoulli_recurrence(rng, 100),
+        [inv.bernoulli_integral(j, 2000) for j in range(1, 7)], inv.bernoulli_fourier(rng, (2, 3, 4), 30, 2000))),
+    ("divisors", "identity sweep 1e5, monotone, boundary, roots", lambda rng: (
+        inv.tau_tilde_identity(rng, 10**5, 50), inv.monotone_bound(10**4),
+        inv.boundary_inclusion(50), inv.integer_root_exact(rng, 2 * 10**4))),
+    ("cw_sums", "j=0 consistency, psi bound, blocks, exact/float", lambda rng: (
+        inv.j0_consistency(rng, 50), inv.psi_bound(rng, 100),
+        inv.block_decomposition(rng, 40), inv.exact_float_agreement(rng, 25))),
+    ("summatory", "fast=brute (1500 exhaustive + random 1e6), breakdown, monotone", lambda rng: (
+        inv.oracle_equivalence(rng, 10**6, 1500, 45), inv.breakdown_identity(rng, 20), inv.summatory_monotone(300))),
+    ("asymptotics", "gamma, theta order, EM windows", lambda rng: (
+        inv.gamma_cross_check(), inv.theta_order(), inv.em_residual_window(rng, 200), inv.em_harmonic_error())),
+    ("exponent_pairs", "involution, domain words<=6", lambda rng: (
+        inv.b_involution(rng, 200), inv.domain_preservation(6))),
+    ("experiments", "synthetic power laws", lambda rng: inv.fit_recovers_power_laws(rng, 10)),
 ]
 
 
 def _cmd_verify(args) -> int:
     failures = 0
-    for name, suite in _SUITES:
+    for name, detail, suite in _SUITES:
         t0 = time.perf_counter()
         try:
-            ok, detail = suite()
+            suite(random.Random(name))
+            status = "PASS"
+        except AssertionError as exc:
+            status, detail = "FAIL", str(exc)
         except Exception as exc:  # a crash in a suite is a failure, not an abort
-            ok, detail = False, f"exception: {exc!r}"
-        elapsed = time.perf_counter() - t0
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name:<15} {detail} [{elapsed:.1f}s]")
-        if not ok:
-            failures += 1
+            status, detail = "FAIL", f"exception: {exc!r}"
+        print(f"{status} {name:<15} {detail} [{time.perf_counter() - t0:.1f}s]")
+        failures += status == "FAIL"
     if failures:
         print(f"error: {failures} invariant suite(s) failed", file=sys.stderr)
         return 3

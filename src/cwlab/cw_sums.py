@@ -35,9 +35,9 @@ from .bernoulli import bernoulli_coefficients, psi
 from .divisors import integer_root
 
 _INT64_SAFE_X = 2**62
-# work budget of one exact range sum in terms (x <= 1.1e12 at a = 2); the
-# common denominator grows by about 0.43 * e digits a term, and G_{2,1,2}
-# (e = 1) takes 26 s at the limit
+# work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
+# the common denominator grows by about 0.43 * e digits a term, and G_{2,1,2}
+# (e = 1) takes 26 s at the limit (x = 1.1e12 at a = 2)
 _EXACT_TERMS_LIMIT = 1 << 20
 
 
@@ -109,14 +109,14 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     fraction s_d / d^e, folded by summatory._fraction_sum.  Int for j = 0 and
     alpha >= 0, Fraction otherwise.
     """
-    if hi - lo + 1 > _EXACT_TERMS_LIMIT:
+    e, lift = max(j - alpha, 0), max(alpha - j, 0)
+    if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
         raise ValueError(
-            f"{hi - lo + 1} exact terms exceed the work budget of {_EXACT_TERMS_LIMIT}"
+            f"{hi - lo + 1} exact terms of degree {e} exceed the work budget of {_EXACT_TERMS_LIMIT}"
         )
     coeffs = bernoulli_coefficients(j)
     den_c = math.lcm(*(b.denominator for b in coeffs))
     c = [int(b * den_c) for b in coeffs]
-    e, lift = max(j - alpha, 0), max(alpha - j, 0)
     weight, power = sum(map(abs, c)), max(j, abs(alpha))
     whole = 0
 
@@ -199,7 +199,7 @@ def g_sum(spec: GSumSpec):
     """G_{a,alpha,j}(x).  Exact rational in exact mode, float otherwise.
 
     x in [0, 1) gives the empty sum 0.  Exact mode is one integer-split
-    range sum over 1..cutoff and refuses a cutoff above _EXACT_TERMS_LIMIT;
+    range sum over 1..cutoff, within the work budget of _exact_range_sum;
     the d = 1 head term plus the dyadic blocks of block_g reassemble it.
     """
     cut = spec.cutoff

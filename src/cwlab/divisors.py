@@ -140,7 +140,9 @@ def tau_tilde_via_identity(n: int) -> int:
 # sweep scale (the per-(d,k) pair enumeration, executed vectorized).
 # ---------------------------------------------------------------------------
 
-_INT64_GUARD = 2**62
+def _sieve_entry_bound(x: int, root: int, alpha: int) -> int:
+    """Bound on sigma_{a,alpha}(n), n <= x: < 2 sqrt(x) divisors, each power <= root**alpha."""
+    return root**alpha * 2 * (isqrt(x) + 1)
 
 
 def _sieve_chunk(lo: int, hi: int, spec: DivisorSpec, root: int) -> np.ndarray:
@@ -171,15 +173,11 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     root = integer_root(limit, spec.a)
-    if spec.exact:
-        # crude per-entry bound: every divisor power <= root**alpha, and
-        # there are at most 2*sqrt(limit) of them
-        bound = (root**spec.alpha) * 2 * (isqrt(limit) + 1)
-        if bound >= _INT64_GUARD:
-            raise OverflowError(
-                "restricted_sigma_table entries may exceed int64; "
-                "use divisor_sum_restricted per n instead"
-            )
+    if spec.exact and _sieve_entry_bound(limit, root, spec.alpha) >= 2**62:
+        raise OverflowError(
+            "restricted_sigma_table entries may exceed int64; "
+            "use divisor_sum_restricted per n instead"
+        )
     return _sieve_chunk(0, limit + 1, spec, root)
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .divisors import DivisorSpec, _sieve_chunk, integer_root
+from .divisors import DivisorSpec, _sieve_chunk, _sieve_entry_bound, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
@@ -164,9 +164,8 @@ def _sieve_chunks(x: int, spec: DivisorSpec):
     caller allocates anything.  Chunks are computed one at a time.
     """
     root = integer_root(x, spec.a)
-    # per-entry bound: every counted divisor power is <= root**alpha and a
-    # single n has < 2*sqrt(n) divisors; chunk sums stay below int64
-    if spec.exact and (root**spec.alpha) * 2 * (math.isqrt(x) + 1) * _CHUNK >= 2**63:
+    # a chunk sums at most _CHUNK entries, so its sum stays below int64
+    if spec.exact and _sieve_entry_bound(x, root, spec.alpha) * _CHUNK >= 2**63:
         raise OverflowError("sieve chunk sums may exceed int64 at this scale")
     return (
         (lo, _sieve_chunk(lo, min(lo + _CHUNK, x + 1), spec, root))

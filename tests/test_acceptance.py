@@ -5,34 +5,15 @@ criterion.  A1, A2, A6, A7, A8 are exact; A3-A5, A9, A10 are slope or
 tolerance bounds with their slack fixed here, not calibrated after the fact.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
 
-import pytest
 from mpmath import mp
 
-from cwlab.asymptotics import (
-    absorption_threshold,
-    error_exponent,
-    euler_maclaurin_partial_sum,
-    root_restricted_model,
-    sqrt_restricted_model,
-)
-from cwlab.bernoulli import (
-    bernoulli_coefficients,
-    bernoulli_fourier_truncated,
-    bernoulli_func,
-    bernoulli_poly,
-)
-from cwlab.divisors import (
-    DivisorSpec,
-    divisor_sum_restricted,
-    restricted_sigma_table,
-    square_table,
-    tau_table,
-)
+from cwlab import invariants
+from cwlab.asymptotics import absorption_threshold, error_exponent, root_restricted_model, sqrt_restricted_model
+from cwlab.divisors import DivisorSpec
 from cwlab.experiments import DEFAULT_GRID, cw_slope_test, fit_loglog, residual_series
 from cwlab.exponent_pairs import (
     BOURGAIN_SEED,
@@ -41,7 +22,6 @@ from cwlab.exponent_pairs import (
     gsum_exponent_bound,
     settled_a_range,
 )
-from cwlab.summatory import summatory_bruteforce_table, summatory_fast
 
 F = Fraction
 
@@ -54,39 +34,20 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def test_a1_oracle_equivalence_exact():
     """A1: fast total == brute-force total, exact, 9 specs, x <= 1e4 + random 1e7."""
     t0 = time.perf_counter()
-    rng = random.Random(20240)
     # 1000 random points: covers the stated 200 and the module-level
     # invariant's 10^3 sample in one sweep
-    random_xs = [rng.randrange(1, 10**7 + 1) for _ in range(1000)]
-    checked = 0
-    for a in (2, 3, 4):
-        for alpha in (0, 1, 2):
-            spec = DivisorSpec(a, alpha)
-            table = summatory_bruteforce_table(10**7, spec)
-            for x in range(1, 10**4 + 1):
-                assert summatory_fast(x, spec).total == int(table[x]), (x, a, alpha)
-            for x in random_xs:
-                assert summatory_fast(x, spec).total == int(table[x]), (x, a, alpha)
-            checked += 10**4 + len(random_xs)
-            del table
+    invariants.oracle_equivalence(random.Random(20240), 10**7, 10**4, 1000)
     elapsed = time.perf_counter() - t0
-    report("A1", elapsed < 300, f"{checked} exact equalities across 9 specs in {elapsed:.0f}s")
+    report("A1", elapsed < 300, f"{9 * (10**4 + 1000)} exact equalities across 9 specs in {elapsed:.0f}s")
 
 
 def test_a2_tau_tilde_identity_exact():
     """A2: sigma_{2,0}(n) == (tau(n) + square(n))/2 for every n <= 1e6."""
     t0 = time.perf_counter()
-    limit = 10**6
-    restricted = restricted_sigma_table(limit, DivisorSpec(2, 0))
-    full = tau_table(limit)
-    squares = square_table(limit)
-    ok = bool((2 * restricted[1:] == full[1:] + squares[1:]).all())
-    # tie the sweep to the per-n operation on a sample
-    rng = random.Random(20241)
-    for n in rng.sample(range(1, limit + 1), 500):
-        assert divisor_sum_restricted(n, DivisorSpec(2, 0)) == int(restricted[n])
+    # the sweep, tied to the per-n operations on a sample of 500 n
+    invariants.tau_tilde_identity(random.Random(20241), 10**6, 500)
     elapsed = time.perf_counter() - t0
-    report("A2", ok and elapsed < 60, f"identity holds for all n <= 1e6 in {elapsed:.0f}s")
+    report("A2", elapsed < 60, f"identity holds for all n <= 1e6 in {elapsed:.0f}s")
 
 
 def test_a3_corollary_alpha1_residual():
@@ -129,18 +90,8 @@ def test_a6_em_residual_window_exact():
     The exact residual is psi(sqrt x)^2 / 2 (expand sqrt x = D + phi), so the
     window is tight at both ends.
     """
-    rng = random.Random(20246)
-    lo_slack = -mp.mpf("1e-15")
-    hi = mp.mpf(1) / 8 + mp.mpf("1e-15")
-    worst = mp.mpf(0)
-    for _ in range(1000):
-        x = rng.randrange(1, 10**12 + 1)
-        d = math.isqrt(x)
-        with mp.workdps(50):
-            resid = mp.mpf(d * (d + 1) // 2) - euler_maclaurin_partial_sum(x, 2, 1)
-            assert lo_slack <= resid <= hi, (x, resid)
-            worst = max(worst, resid)
-    report("A6", True, f"1000 residuals inside [0, 1/8] (max {float(worst):.6f})")
+    invariants.em_residual_window(random.Random(20246), 1000)
+    report("A6", True, "1000 residuals equal psi(sqrt x)^2 / 2, inside [0, 1/8]")
 
 
 def test_a7_exponent_pair_chain_exact():
@@ -190,26 +141,9 @@ def test_a9_cw_support_alpha0_j1():
 def test_a10_bernoulli_suite():
     """A10: periodicity, recurrence, quadrature, and Fourier truncation."""
     rng = random.Random(20250)
-    for _ in range(10_000):
-        x = rng.uniform(-10, 10)
-        j = rng.randint(1, 6)
-        assert abs(bernoulli_func(j, x + 1) - bernoulli_func(j, x)) <= 1e-12
-    h = 1e-6
-    for _ in range(300):
-        x = rng.uniform(0, 1)
-        for j in range(1, 7):
-            deriv = (bernoulli_poly(j, x + h) - bernoulli_poly(j, x - h)) / (2 * h)
-            assert abs(deriv - j * bernoulli_poly(j - 1, x)) <= 1e-6
+    invariants.bernoulli_periodicity(rng, 10_000)
+    invariants.bernoulli_recurrence(rng, 300)
     for j in range(1, 7):
-        n = 10_000
-        vals = [float(bernoulli_poly(j, F(i, n))) for i in range(n + 1)]
-        simpson = (vals[0] + vals[-1] + 4 * sum(vals[1:-1:2]) + 2 * sum(vals[2:-1:2])) / (3 * n)
-        assert abs(simpson) <= 1e-10, (j, simpson)
-    worst = 0.0
-    for j in (2, 3, 4):
-        for _ in range(1000):
-            t = rng.uniform(0, 1)
-            diff = abs(bernoulli_fourier_truncated(j, t, 10_000) - float(bernoulli_func(j, t)))
-            worst = max(worst, diff)
-            assert diff <= 1e-3, (j, t, diff)
-    report("A10", True, f"all invariants pass (worst Fourier gap {worst:.2e})")
+        invariants.bernoulli_integral(j, 10_000)
+    invariants.bernoulli_fourier(rng, (2, 3, 4), 1000, 10_000)
+    report("A10", True, "all invariants pass")

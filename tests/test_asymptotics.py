@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from cwlab import invariants
 from cwlab.asymptotics import (
     absorption_threshold,
     error_exponent,
     euler_gamma,
-    euler_gamma_independent,
     euler_maclaurin_partial_sum,
     main_term_root_restricted,
     main_term_sqrt_restricted,
@@ -21,8 +21,7 @@ from cwlab.summatory import summatory_fast
 
 
 def test_gamma_cross_check():
-    with mp.workdps(60):
-        assert abs(euler_gamma(60) - euler_gamma_independent()) < mp.mpf("1e-20")
+    invariants.gamma_cross_check()
 
 
 def test_theta_constants():
@@ -35,12 +34,7 @@ def test_theta_constants():
 
 
 def test_theta_monotone_and_ordering():
-    alphas = [Fraction(i, 7) for i in range(15)]
-    for lo, hi in zip(alphas, alphas[1:]):
-        assert error_exponent(lo) < error_exponent(hi)
-        assert error_exponent(lo, cw=True) < error_exponent(hi, cw=True)
-    for alpha in alphas:
-        assert error_exponent(alpha, cw=True) <= error_exponent(alpha)
+    invariants.theta_order()
 
 
 def test_absorption_threshold():
@@ -107,11 +101,7 @@ def test_em_harmonic():
 
 def test_em_harmonic_error_decay():
     # error is O(x^(-2/a)): comfortably below 10/x across the grid
-    for e in range(3, 10):
-        x = 10**e
-        exact = math.fsum(1.0 / d for d in range(1, math.isqrt(x) + 1))
-        approx = float(euler_maclaurin_partial_sum(x, 2, -1))
-        assert abs(exact - approx) <= 10.0 / x
+    invariants.em_harmonic_error()
 
 
 def test_em_perfect_square_beta1():
@@ -123,16 +113,7 @@ def test_em_perfect_square_beta1():
 
 
 def test_em_beta1_residual_window():
-    # exact residual equals psi(sqrt x)^2 / 2, always inside [0, 1/8]
-    rng = random.Random(71)
-    for _ in range(500):
-        x = rng.randrange(10, 10**12)
-        d = math.isqrt(x)
-        with mp.workdps(50):
-            resid = mp.mpf(d * (d + 1) // 2) - euler_maclaurin_partial_sum(x, 2, 1)
-            assert -mp.mpf("1e-15") <= resid <= mp.mpf("0.125") + mp.mpf("1e-15")
-            psi_root = mp.sqrt(mp.mpf(x)) - d - mp.mpf(1) / 2
-            assert abs(resid - psi_root**2 / 2) < mp.mpf("1e-30")
+    invariants.em_residual_window(random.Random(71), 500)
 
 
 def test_em_rejects_bad_beta():

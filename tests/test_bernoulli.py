@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cwlab import invariants
 from cwlab.bernoulli import (
     MAX_DEGREE,
     bernoulli_coefficients,
@@ -86,29 +87,16 @@ def test_bernoulli_func_examples():
 
 
 def test_periodicity():
-    rng = random.Random(11)
-    for _ in range(10_000):
-        x = rng.uniform(-10, 10)
-        j = rng.randint(1, 6)
-        assert abs(bernoulli_func(j, x + 1) - bernoulli_func(j, x)) <= 1e-12
+    invariants.bernoulli_periodicity(random.Random(11), 10_000)
 
 
 def test_recurrence_by_finite_differences():
-    rng = random.Random(13)
-    h = 1e-6
-    for _ in range(500):
-        x = rng.uniform(0, 1)
-        for j in range(1, 7):
-            deriv = (bernoulli_poly(j, x + h) - bernoulli_poly(j, x - h)) / (2 * h)
-            assert abs(deriv - j * bernoulli_poly(j - 1, x)) <= 1e-6
+    invariants.bernoulli_recurrence(random.Random(13), 500)
 
 
 @pytest.mark.parametrize("j", range(1, 7))
 def test_simpson_quadrature(j):
-    n = 10_000
-    vals = [float(bernoulli_poly(j, i / n)) for i in range(n + 1)]
-    integral = (vals[0] + vals[-1] + 4 * sum(vals[1:-1:2]) + 2 * sum(vals[2:-1:2])) / (3 * n)
-    assert abs(integral) <= 1e-10
+    invariants.bernoulli_integral(j, 10_000)
 
 
 def test_fourier_single_term():
@@ -130,12 +118,7 @@ def test_fourier_vs_polynomial_oracle():
 
 
 def test_fourier_convergence_random():
-    rng = random.Random(17)
-    for _ in range(1000):
-        t = rng.uniform(0, 1)
-        j = rng.choice((2, 3, 4, 5))
-        diff = abs(bernoulli_fourier_truncated(j, t, 10_000) - float(bernoulli_func(j, t)))
-        assert diff <= 1e-3
+    invariants.bernoulli_fourier(random.Random(17), (2, 3, 4, 5), 1000, 10_000)
 
 
 def test_fourier_rejects_conditional_convergence():

@@ -167,11 +167,30 @@ def test_verify_runs_clean():
 def test_verify_failure_exit_3(monkeypatch):
     import cwlab.cli as cli
 
-    monkeypatch.setattr(cli, "_SUITES", [("stub", lambda: (False, "forced failure"))])
+    def broken(rng):
+        raise AssertionError("forced failure")
+
+    monkeypatch.setattr(cli, "_SUITES", [("stub", "never printed", broken)])
     code, out, err = run(["verify"])
     assert code == 3
     assert out.startswith("FAIL stub")
     assert err.startswith("error:")
+
+
+def test_verify_calls_every_invariant(monkeypatch):
+    # an invariant left out of verify's suites fails here
+    import inspect
+
+    from cwlab import invariants
+
+    public = [name for name, f in inspect.getmembers(invariants, inspect.isfunction)
+              if f.__module__ == invariants.__name__ and not name.startswith("_")]
+    called = set()
+    for name in public:
+        monkeypatch.setattr(invariants, name, lambda *args, name=name: called.add(name))
+    code, out, err = run(["verify"])
+    assert code == 0, err
+    assert public and called == set(public)
 
 
 def test_internal_breach_exit_3(monkeypatch):
@@ -207,6 +226,8 @@ def test_overlong_exact_value_writes_nothing(tmp_path):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
+    assert "--alpha" in err
     target = tmp_path / "result.json"
     code, out, err = run(argv + ["--format", "json", "--out", str(target)])
     assert (code, out) == (2, "")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwlab import invariants
 from cwlab.bernoulli import bernoulli_coefficients, psi
 from cwlab.cw_sums import (
     _EXACT_TERMS_LIMIT,
@@ -110,48 +111,19 @@ def test_block_examples():
 
 
 def test_block_decomposition_reassembles():
-    rng = random.Random(37)
-    for _ in range(1000):
-        x = rng.randrange(1, 200_000)
-        a = rng.choice((2, 3, 4))
-        alpha = rng.choice((0, 1, 2))
-        j = rng.choice((0, 1, 2))
-        spec = GSumSpec(a, alpha, j, x)
-        cut = spec.cutoff
-        total = g_sum(GSumSpec(a, alpha, j, 1)) if cut >= 1 else Fraction(0)
-        n = 1
-        while n < cut:
-            total += block_g(n, spec)
-            n *= 2
-        assert total == g_sum(spec), (x, a, alpha, j)
+    invariants.block_decomposition(random.Random(37), 1000)
 
 
 def test_j0_consistency():
-    rng = random.Random(41)
-    for _ in range(200):
-        x = rng.randrange(1, 10**6)
-        for a in (2, 3, 5):
-            assert g_sum(GSumSpec(a, 0, 0, x)) == integer_root(x, a)
+    invariants.j0_consistency(random.Random(41), 200)
 
 
 def test_trivial_psi_bound():
-    rng = random.Random(43)
-    for _ in range(200):
-        x = rng.randrange(1, 10**6)
-        a = rng.choice((2, 3))
-        cut = gsum_cutoff(x, a)
-        assert abs(g_sum(GSumSpec(a, 0, 1, x))) <= Fraction(cut, 2)
+    invariants.psi_bound(random.Random(43), 200)
 
 
 def test_exact_float_agreement():
-    rng = random.Random(47)
-    cases = [(rng.randrange(10, 10**6), rng.choice((2, 3)), rng.choice((0, 1, 2)), rng.choice((1, 2, 3)))
-             for _ in range(60)]
-    cases += [(10**9, 2, 2, 1), (10**9 - 7, 2, 0, 1), (10**9, 2, 1, 2), (999_999_937, 3, 2, 3)]
-    for x, a, alpha, j in cases:
-        e = g_sum(GSumSpec(a, alpha, j, x))
-        f = g_sum(GSumSpec(a, float(alpha), j, x))
-        assert abs(float(e) - f) <= 1e-8 * max(1.0, abs(float(e))), (x, a, alpha, j)
+    invariants.exact_float_agreement(random.Random(47), 60)
 
 
 def test_cutoff_rational_and_float_a():
@@ -282,4 +254,7 @@ def test_exact_work_budget():
         g_sum(GSumSpec(2, 1, 2, x))
     with pytest.raises(ValueError, match="work budget"):
         block_g(_EXACT_TERMS_LIMIT + 1, GSumSpec(2, 0, 1, 10**20))
+    # terms count times the fraction degree e = j - alpha: 2**18 + 1 terms at e = 4
+    with pytest.raises(ValueError, match="work budget"):
+        g_sum(GSumSpec(2, 0, 4, (2**18 + 1) ** 2))
     assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)   # float mode has no budget

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from cwlab import invariants
 from cwlab.divisors import (
     DivisorSpec,
     divisor_sum_restricted,
@@ -10,9 +11,7 @@ from cwlab.divisors import (
     is_square,
     restricted_sigma_table,
     sigma_alpha,
-    square_table,
     tau,
-    tau_table,
     tau_tilde_via_identity,
 )
 
@@ -38,12 +37,7 @@ def test_integer_root_examples():
 
 
 def test_integer_root_exactness_random():
-    rng = random.Random(23)
-    for _ in range(100_000):
-        n = rng.randrange(10**18)
-        a = rng.randrange(2, 10)
-        d = integer_root(n, a)
-        assert d**a <= n < (d + 1) ** a
+    invariants.integer_root_exact(random.Random(23), 100_000)
 
 
 def test_integer_root_huge():
@@ -89,16 +83,7 @@ def test_identity_sweep_small():
 
 
 def test_tables_match_per_n():
-    rng = random.Random(29)
-    limit = 10**5
-    spec = DivisorSpec(2, 0)
-    table = restricted_sigma_table(limit, spec)
-    tt = tau_table(limit)
-    sq = square_table(limit)
-    for n in rng.sample(range(1, limit + 1), 300):
-        assert table[n] == divisor_sum_restricted(n, spec)
-        assert tt[n] == tau(n)
-        assert sq[n] == is_square(n)
+    invariants.tau_tilde_identity(random.Random(29), 10**5, 300)
 
 
 def test_tables_float_mode():
@@ -114,28 +99,11 @@ def test_tables_float_mode():
 
 
 def test_monotone_bound():
-    limit = 10**5
-    for a in (2, 3, 4):
-        for alpha in (0, 1, 2):
-            restricted = restricted_sigma_table(limit, DivisorSpec(a, alpha))
-            full = np.zeros(limit + 1, dtype=np.int64)
-            for d in range(1, limit + 1):
-                full[d::d] += d**alpha
-            assert (restricted[1:] <= full[1:]).all()
+    invariants.monotone_bound(10**5)
 
 
 def test_boundary_inclusion():
-    # n = d^a: d itself must be counted (d^a <= n holds with equality)
-    for a in (2, 3, 4):
-        for d in range(1, 51):
-            n = d**a
-            with_d = divisor_sum_restricted(n, DivisorSpec(a, 0))
-            assert with_d >= 1
-            # removing d would lose exactly one divisor
-            smaller = sum(
-                1 for e in range(1, n + 1) if n % e == 0 and e**a <= n and e != d
-            )
-            assert with_d == smaller + 1
+    invariants.boundary_inclusion(50)
 
 
 def test_table_overflow_guard():

@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp
 
+from cwlab import invariants
 from cwlab.asymptotics import sqrt_restricted_model
 from cwlab.divisors import DivisorSpec
 from cwlab.experiments import (
@@ -58,12 +59,7 @@ def test_fit_bounded_noise():
 
 
 def test_fit_random_exponents():
-    rng = random.Random(83)
-    pts = GridSpec(10, 2.0, 12).points()
-    for _ in range(50):
-        s = rng.uniform(0, 2)
-        rep = fit_loglog([(x, 3.7 * x**s) for x in pts])
-        assert rep.slope == pytest.approx(s, abs=1e-9)
+    invariants.fit_recovers_power_laws(random.Random(83), 50)
 
 
 def test_fit_drops_zeros():

@@ -1,9 +1,9 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cwlab import invariants
 from cwlab.exponent_pairs import (
     BOURGAIN_SEED,
     ExponentPair,
@@ -43,14 +43,7 @@ def test_transform_B_examples():
 
 
 def test_b_involution_random():
-    rng = random.Random(73)
-    count = 0
-    while count < 1000:
-        k = F(rng.randrange(0, 2001), 4000)          # [0, 1/2]
-        l = F(rng.randrange(2000, 4001), 4000)       # [1/2, 1]
-        p = ExponentPair(k, l)
-        assert transform_B(transform_B(p)) == p
-        count += 1
+    invariants.b_involution(random.Random(73), 1000)
 
 
 def test_word_parsing():
@@ -67,21 +60,11 @@ def test_apply_word_chains():
     assert apply_word("BA^2", BOURGAIN_SEED) == ExponentPair(F(76, 207), F(110, 207))
     assert apply_word("BA", BOURGAIN_SEED) == ExponentPair(F(55, 194), F(55, 97))
     assert apply_word("", BOURGAIN_SEED) == BOURGAIN_SEED
-    rng = random.Random(79)
-    for _ in range(200):
-        k = F(rng.randrange(0, 2001), 4000)
-        l = F(rng.randrange(2000, 4001), 4000)
-        p = ExponentPair(k, l)
-        assert apply_word("BB", p) == p
+    invariants.b_involution(random.Random(79), 200)
 
 
 def test_domain_preservation_words_up_to_6():
-    seeds = [BOURGAIN_SEED, ExponentPair(F(0), F(1, 2))]
-    for length in range(7):
-        for word in itertools.product("AB", repeat=length):
-            for seed in seeds:
-                p = apply_word("".join(word), seed)   # constructor re-validates
-                assert 0 <= p.k <= F(1, 2) <= p.l <= 1 and p.k <= p.l
+    invariants.domain_preservation(6)
 
 
 def test_gsum_exponent_bound_j1():

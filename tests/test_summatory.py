@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from cwlab.cw_sums import GSumSpec, g_sum
-from cwlab.divisors import DivisorSpec, divisor_sum_restricted, integer_root
+from cwlab import invariants
+from cwlab.divisors import DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table
+from cwlab.invariants import SPECS
 from cwlab.summatory import (
     _FAST_CUTOFF_LIMIT,
     BRUTEFORCE_LIMIT,
@@ -17,9 +18,6 @@ from cwlab.summatory import (
     summatory_bruteforce_table,
     summatory_fast,
 )
-
-SPECS = [DivisorSpec(a, alpha) for a in (2, 3, 4) for alpha in (0, 1, 2)]
-
 
 def per_n_reference(x: int, spec: DivisorSpec):
     # definitional oracle: sum the per-n restricted divisor sums
@@ -81,17 +79,7 @@ def test_fast_equals_brute_random(spec):
 
 
 def test_breakdown_terms_equal_g_sums():
-    rng = random.Random(61)
-    for _ in range(50):
-        x = rng.randrange(1, 20_000)
-        spec = rng.choice(SPECS)
-        b = summatory_fast(x, spec)
-        a, alpha = spec.a, spec.alpha
-        assert b.term_main == x * g_sum(GSumSpec(a, alpha - 1, 0, x))
-        assert b.term_power == -g_sum(GSumSpec(a, alpha + a - 1, 0, x))
-        assert b.term_half == Fraction(g_sum(GSumSpec(a, alpha, 0, x)), 2)
-        assert b.term_psi == -g_sum(GSumSpec(a, alpha, 1, x))
-        assert sum(b.terms()) == b.total
+    invariants.breakdown_identity(random.Random(61), 50)
 
 
 def test_breakdown_interchange_identity():
@@ -109,12 +97,7 @@ def test_breakdown_interchange_identity():
 
 
 def test_monotone_in_x():
-    spec = DivisorSpec(2, 1)
-    prev = 0
-    for x in range(1, 2000):
-        cur = summatory_fast(x, spec).total
-        assert cur >= prev
-        prev = cur
+    invariants.summatory_monotone(2000)
 
 
 def test_bruteforce_guard():
@@ -134,6 +117,20 @@ def test_bruteforce_overflow_guard():
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # an int64 array of 10**6 entries is 8 MB
+
+
+def test_sieve_entry_bound_boundary():
+    # at limit 10**4 (root 100) the entry bound is 100**alpha * 202: the table
+    # needs it below 2**62 (alpha <= 8), brute force times _CHUNK = 10**7
+    # below 2**63 (alpha <= 4)
+    limit = 10**4
+    table = restricted_sigma_table(limit, DivisorSpec(2, 8))
+    assert table[limit] == divisor_sum_restricted(limit, DivisorSpec(2, 8))
+    with pytest.raises(OverflowError):
+        restricted_sigma_table(limit, DivisorSpec(2, 9))
+    assert summatory_bruteforce(limit, DivisorSpec(2, 4)) == summatory_fast(limit, DivisorSpec(2, 4)).total
+    with pytest.raises(OverflowError):
+        summatory_bruteforce(limit, DivisorSpec(2, 5))
 
 
 def test_bruteforce_chunking():
