@@ -12,7 +12,8 @@ fit        residual series + log-log slope (or G-sum slope with --j >= 1)
 verify     reduced-scale invariant suites; nonzero exit on any failure
 
 Exit codes: 0 success, 2 input validation failure, 3 internal invariant
-breach (e.g. fast != brute under --mode both, or a verify failure).
+breach (e.g. fast != brute under --mode both, or a verify failure),
+1 if the reader closes stdout before all output is written.
 Errors go to stderr with an "error:" prefix.
 
 Exact rationals are printed as p/q, high-precision reals with 30
@@ -27,6 +28,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -234,7 +236,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("verify", help="reduced-scale invariant suites")
-    add_common(sp)
     sp.set_defaults(func=_cmd_verify)
 
     return p
@@ -448,7 +449,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (`cwlab verify | head -1`): devnull keeps the final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

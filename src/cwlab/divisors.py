@@ -145,22 +145,18 @@ def _sieve_entry_bound(x: int, root: int, alpha: int) -> int:
     return root**alpha * 2 * (isqrt(x) + 1)
 
 
-def _sieve_chunk(lo: int, hi: int, spec: DivisorSpec, root: int) -> np.ndarray:
-    """sigma_{a,alpha}(n) for n in [lo, hi) as one vectorized chunk.
+def _sieve_into(arr: np.ndarray, lo: int, spec: DivisorSpec, root: int) -> np.ndarray:
+    """Add sigma_{a,alpha}(n) into arr[n - lo] for n in [lo, lo + len(arr)), in place; return arr.
 
     Adds d**alpha at every n = d*k in range with k >= d**(a-1), for d <= root.
-    The caller guards int64 magnitudes in integer mode.
+    The caller zeroes arr and guards int64 magnitudes in integer mode.
     """
-    dtype = np.int64 if spec.exact else np.float64
-    arr = np.zeros(hi - lo, dtype=dtype)
+    hi = lo + len(arr)
     for d in range(1, root + 1):
-        start = d**spec.a
-        if start >= hi:
+        if d**spec.a >= hi:
             break
-        if start < lo:
-            start = ((lo + d - 1) // d) * d
-        if start < hi:
-            arr[start - lo :: d] += d**spec.alpha if spec.exact else float(d) ** spec.alpha
+        start = max(d**spec.a, -(-lo // d) * d)
+        arr[start - lo :: d] += d**spec.alpha if spec.exact else float(d) ** spec.alpha
     return arr
 
 
@@ -174,21 +170,35 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
         raise ValueError("limit must be >= 1")
     root = integer_root(limit, spec.a)
     if spec.exact and _sieve_entry_bound(limit, root, spec.alpha) >= 2**62:
-        raise OverflowError(
-            "restricted_sigma_table entries may exceed int64; "
-            "use divisor_sum_restricted per n instead"
-        )
-    return _sieve_chunk(0, limit + 1, spec, root)
+        raise OverflowError("restricted_sigma_table entries may exceed int64; "
+                            "use divisor_sum_restricted per n instead")
+    return _sieve_into(np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64), 0, spec, root)
+
+
+def _sigma_table(limit: int, alpha: int) -> np.ndarray:
+    """Array t with t[n] = sigma_alpha(n) for 1 <= n <= limit (t[0] = 0), int64.
+
+    Hyperbola split at s = isqrt(limit): a divisor d <= s of n is added by a
+    stride-d pass; a divisor m > s by the stride-k pass of its cofactor
+    k = n/m <= limit // (s + 1), which adds m**alpha at n = m*k for m > s.
+    About 2 sqrt(limit) numpy passes instead of limit.
+    """
+    s = isqrt(limit)
+    table = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, s + 1):
+        table[d::d] += d**alpha
+    powers = np.arange(s + 1, limit + 1, dtype=np.int64) ** alpha
+    for k in range(1, limit // (s + 1) + 1):
+        table[(s + 1) * k :: k] += powers[: limit // k - s]
+    return table
 
 
 def tau_table(limit: int) -> np.ndarray:
-    """Array t with t[n] = tau(n) for 1 <= n <= limit (t[0] = 0)."""
+    """Array t with t[n] = tau(n), 1 <= n <= limit (t[0] = 0), by the hyperbola split of _sigma_table:
+    it splits at isqrt(limit), not at sqrt(n), so 2 tau~ = tau + 1_square stays a check."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    table = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        table[d::d] += 1
-    return table
+    return _sigma_table(limit, 0)
 
 
 def square_table(limit: int) -> np.ndarray:

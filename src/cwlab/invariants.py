@@ -17,7 +17,7 @@ from .asymptotics import error_exponent, euler_gamma, euler_maclaurin_partial_su
 from .bernoulli import bernoulli_coefficients, bernoulli_fourier_truncated, bernoulli_func, bernoulli_poly
 from .cw_sums import GSumSpec, block_g, g_sum, gsum_cutoff
 from .divisors import DivisorSpec, divisor_sum_restricted, integer_root, is_square
-from .divisors import restricted_sigma_table, square_table, tau, tau_table
+from .divisors import _sigma_table, restricted_sigma_table, square_table, tau, tau_table
 from .experiments import GridSpec, fit_loglog
 from .exponent_pairs import BOURGAIN_SEED, ExponentPair, apply_word, transform_B
 from .summatory import summatory_bruteforce_table, summatory_fast
@@ -77,9 +77,7 @@ def tau_tilde_identity(rng, limit: int, samples: int) -> None:
 def monotone_bound(limit: int) -> None:
     """sigma_{a,alpha}(n) <= sigma_alpha(n) for every n <= limit, a in 2..4, alpha in 0..2."""
     for alpha in (0, 1, 2):
-        full = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            full[d::d] += d**alpha
+        full = _sigma_table(limit, alpha)
         for a in (2, 3, 4):
             bad = np.flatnonzero(restricted_sigma_table(limit, DivisorSpec(a, alpha)) > full)
             _check(not bad.size, "monotone bound", n=bad[:1].tolist(), a=a, alpha=alpha)

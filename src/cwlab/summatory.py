@@ -2,8 +2,9 @@
 
 summatory_bruteforce enumerates every divisor pair n = d*k with
 k >= d**(a-1) and accumulates d^alpha per pair (vectorized, chunked, cost
-O(x log x)).  summatory_fast needs only O(x^(1/a)) terms: interchanging the
-summations gives
+O(x log x)); its table form sieves chunk by chunk into its one output
+array and turns that into cumulative sums in place.  summatory_fast needs
+only O(x^(1/a)) terms: interchanging the summations gives
 
     sum_{n <= x} sigma_{a,alpha}(n)
         = sum_{d <= x^(1/a)} d^alpha * (floor(x/d) - d^(a-1) + 1),
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .divisors import DivisorSpec, _sieve_chunk, _sieve_entry_bound, integer_root
+from .divisors import DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
@@ -157,20 +158,13 @@ def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return a * (d // g) + c * (b // g), b // g * d
 
 
-def _sieve_chunks(x: int, spec: DivisorSpec):
-    """(lo, chunk) pairs with chunk[i] = sigma_{a,alpha}(lo + i), covering 1..x.
-
-    Not itself a generator: the int64 guard raises at the call, before the
-    caller allocates anything.  Chunks are computed one at a time.
-    """
+def _brute_root(x: int, spec: DivisorSpec) -> int:
+    """The sieve's divisor range x^(1/a), past a guard that raises before anything
+    is allocated unless, in integer mode, every sum of _CHUNK entries fits int64."""
     root = integer_root(x, spec.a)
-    # a chunk sums at most _CHUNK entries, so its sum stays below int64
     if spec.exact and _sieve_entry_bound(x, root, spec.alpha) * _CHUNK >= 2**63:
         raise OverflowError("sieve chunk sums may exceed int64 at this scale")
-    return (
-        (lo, _sieve_chunk(lo, min(lo + _CHUNK, x + 1), spec, root))
-        for lo in range(1, x + 1, _CHUNK)
-    )
+    return root
 
 
 def summatory_bruteforce(x: int, spec: DivisorSpec):
@@ -184,11 +178,13 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
     if x < 0:
         raise ValueError("x must be >= 0")
     if x > BRUTEFORCE_LIMIT:
-        raise ValueError(
-            f"brute force is guarded at x <= {BRUTEFORCE_LIMIT}; use summatory_fast"
-        )
+        raise ValueError(f"brute force is guarded at x <= {BRUTEFORCE_LIMIT}; use summatory_fast")
+    root = _brute_root(x, spec)
+    buf = np.empty(min(x, _CHUNK), dtype=np.int64 if spec.exact else np.float64)
     total: int | float = 0 if spec.exact else 0.0
-    for _, chunk in _sieve_chunks(x, spec):
+    for lo in range(1, x + 1, _CHUNK):
+        buf.fill(0)
+        chunk = _sieve_into(buf[: x + 1 - lo], lo, spec, root)
         total += int(chunk.sum()) if spec.exact else float(chunk.sum())
     return total
 
@@ -202,15 +198,13 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """
     if limit < 1 or limit > BRUTEFORCE_LIMIT:
         raise ValueError(f"limit must be in [1, {BRUTEFORCE_LIMIT}]")
-    chunks = _sieve_chunks(limit, spec)
+    root = _brute_root(limit, spec)
     full = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
-    for lo, chunk in chunks:
-        full[lo : lo + len(chunk)] = chunk
-        del chunk  # free it before the next chunk is sieved and the cumsum runs
-    if spec.exact:
-        exact_total = sum(int(full[i : i + _CHUNK].sum()) for i in range(0, limit + 1, _CHUNK))
-        cum = np.cumsum(full)
-        if int(cum[-1]) != exact_total or (cum < 0).any():
-            raise OverflowError("cumulative sums exceeded int64")
-        return cum
-    return np.cumsum(full)
+    exact_total = 0  # in Python ints: an int64 wrap in the cumsum cannot match it
+    for lo in range(1, limit + 1, _CHUNK):
+        chunk = _sieve_into(full[lo : lo + _CHUNK], lo, spec, root)
+        exact_total += int(chunk.sum()) if spec.exact else 0
+    np.cumsum(full, out=full)
+    if spec.exact and (int(full[-1]) != exact_total or (full < 0).any()):
+        raise OverflowError("cumulative sums exceeded int64")
+    return full

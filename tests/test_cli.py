@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,6 +165,33 @@ def test_verify_runs_clean():
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 7
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_rejects_format_and_out(tmp_path):
+    # verify writes text lines only, so it refuses the output options rather than ignore them
+    target = tmp_path / "v.json"
+    for argv in (["verify", "--format", "json"], ["verify", "--out", str(target)]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "unrecognized arguments" in err
+    assert not target.exists()
+
+
+def test_verify_closed_pipe_no_traceback():
+    # `cwlab verify | head -1`: the reader closes the pipe after the first line;
+    # unbuffered, the later suites' lines then hit the closed pipe
+    import cwlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cwlab.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "cwlab.cli", "verify"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    code = proc.wait(timeout=120)
+    assert first.startswith(b"PASS bernoulli")
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 1
 
 
 def test_verify_failure_exit_3(monkeypatch):

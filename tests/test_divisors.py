@@ -6,12 +6,14 @@ import pytest
 from cwlab import invariants
 from cwlab.divisors import (
     DivisorSpec,
+    _sigma_table,
     divisor_sum_restricted,
     integer_root,
     is_square,
     restricted_sigma_table,
     sigma_alpha,
     tau,
+    tau_table,
     tau_tilde_via_identity,
 )
 
@@ -96,6 +98,37 @@ def test_tables_float_mode():
             assert table.dtype == np.float64
             for n in [1, 2**a, limit, *rng.sample(range(1, limit + 1), 100)]:
                 assert table[n] == pytest.approx(divisor_sum_restricted(n, spec), rel=1e-12)
+
+
+def _reference_sigma_tables(limit):
+    """Row n holds sigma_0(n), sigma_1(n), sigma_2(n): one stride-d pass per d <= limit / 2.
+
+    A d > limit / 2 divides no n <= limit but d itself, so those d are one add.
+    """
+    powers = np.arange(limit + 1, dtype=np.int64)[:, None] ** np.arange(3)
+    table = np.zeros((limit + 1, 3), dtype=np.int64)
+    for d in range(1, limit // 2 + 1):
+        table[d::d] += powers[d]
+    table[limit // 2 + 1 :] += powers[limit // 2 + 1 :]
+    return table
+
+
+def test_sigma_table_hyperbola_split():
+    # every L to 300, and L around s^2 and s(s+1), where isqrt(L) and
+    # L // (isqrt(L) + 1) step; sigma_alpha(n) does not depend on L, so one
+    # reference table to the largest L serves every L as a prefix
+    edges = [L for s in (100, 317, 1000) for L in (s * s - 1, s * s, s * s + 1, s * (s + 1) - 1, s * (s + 1))]
+    ref = _reference_sigma_tables(max(edges))
+    for alpha in (0, 1, 2):
+        for L in [*range(1, 301), *edges]:
+            assert (_sigma_table(L, alpha) == ref[: L + 1, alpha]).all(), (L, alpha)
+
+
+def test_tau_table_matches_tau():
+    limit = 10**6
+    taus = tau_table(limit)
+    for n in [1, 2, limit, *random.Random(37).sample(range(1, limit + 1), 500)]:
+        assert taus[n] == tau(n), n
 
 
 def test_monotone_bound():

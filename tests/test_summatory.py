@@ -149,6 +149,20 @@ def test_bruteforce_chunking():
         s._CHUNK = old
 
 
+def test_bruteforce_table_peak_memory():
+    # the table is sieved into its one output array and summed in place: a
+    # separate chunk copy or an out-of-place cumsum doubles the peak
+    limit = 10**6
+    for spec in (DivisorSpec(2, 1), DivisorSpec(3, 0.5)):
+        tracemalloc.start()
+        try:
+            summatory_bruteforce_table(limit, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * (limit + 1), (spec, peak)
+
+
 def test_table_matches_scalar():
     spec = DivisorSpec(3, 1)
     table = summatory_bruteforce_table(5000, spec)
