@@ -11,7 +11,8 @@ r = x mod d into an integer part, summed over numpy chunks in int64 where a
 bound proves it safe, and a proper fraction s/d^e, folded by a gcd-reducing
 binary merge; one Fraction is formed at the end, so cancellation-prone
 values are never touched by rounding.
-Float mode is a vectorized double-precision pass: with integer x the
+Float mode is a double-precision pass over the same chunks of d (int64 for
+every x), within the summatory_fast work budget: with integer x the
 fractional parts {x/d} come from the exact remainder x mod d, which keeps
 the sawtooth accurate even when x/d is far above 2^53 * ulp territory.
 
@@ -34,7 +35,6 @@ from . import summatory
 from .bernoulli import bernoulli_coefficients, psi
 from .divisors import integer_root
 
-_INT64_SAFE_X = 2**62
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
 # the common denominator grows by about 0.43 * e digits a term, and G_{2,1,2}
 # (e = 1) takes 26 s at the limit (x = 1.1e12 at a = 2)
@@ -122,13 +122,9 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
 
     def proper_fractions():
         nonlocal whole
-        for start in range(lo, hi + 1, summatory._FAST_CHUNK):
-            end = min(start + summatory._FAST_CHUNK - 1, hi)
-            dtype = np.int64 if _terms_fit_int64(end, end - start + 1, weight, power) else object
-            d = np.arange(start, end + 1, dtype=dtype)
+        for d in summatory._d_chunks(lo, hi, _horner_bound, weight, power):
             if j:
-                # r < d fits d's dtype even where x does not
-                r = x % d if x < 2**63 else (x % d.astype(object)).astype(dtype)
+                r = summatory._mod(x, d)
             # homogeneous Horner: p = sum_{i >= k} c_i r^(i-k) d^(j-i) at step k
             p, d_pow = np.full_like(d, c[j]), 1
             for k in range(j - 1, -1, -1):
@@ -156,43 +152,24 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     return Fraction(whole * den + num, den * den_c)
 
 
-def _terms_fit_int64(hi: int, length: int, weight: int, power: int) -> bool:
-    """Whether a chunk of length terms with d <= hi provably stays below 2**63.
-
-    Every Horner value, power of d and whole part is at most weight * hi**power,
-    with weight the sum of |c_k|, so a chunk sum is at most length times that.
-    """
-    return weight * hi**power * length < 2**63
+def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
+    # every Horner value, power of d and whole part over d <= hi is at most
+    # weight * hi**power, with weight the sum of |c_k|, so a chunk sum is at
+    # most its length times that
+    return weight * hi**power
 
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
-    """Vectorized double-precision sum over lo <= d <= hi."""
-    if lo > hi:
-        return 0.0
-    d = np.arange(lo, hi + 1, dtype=np.int64)
-    if j == 0:
-        vals = None
-    else:
-        if isinstance(x, int) and x < _INT64_SAFE_X:
-            frac = (x % d) / d
-        elif isinstance(x, int):
-            frac = np.array([(x % int(dd)) / dd for dd in d], dtype=np.float64)
-        else:
-            q = float(x) / d
-            frac = q - np.floor(q)
-        if j == 1:
-            vals = frac - 0.5
-        else:
-            vals = np.polyval([float(c) for c in reversed(bernoulli_coefficients(j))], frac)
-    df = d.astype(np.float64)
-    weights = df if alpha == 1 else df**float(alpha) if alpha != 0 else None
-    if vals is None:
-        terms = weights if weights is not None else np.ones_like(df)
-    elif weights is None:
-        terms = vals
-    else:
-        terms = weights * vals
-    return float(np.sum(terms))
+    """Double-precision sum over lo <= d <= hi: one numpy sum of
+    polyval(B_j, {x/d}) * d**alpha per chunk, the chunk sums added in order."""
+    coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
+    total = 0.0
+    for d in summatory._d_chunks(lo, hi, None):
+        frac = 0.0  # B_0 = 1 needs no {x/d}
+        if j:
+            frac = summatory._mod(x, d) / d if isinstance(x, int) else np.modf(float(x) / d)[0]
+        total += float(np.sum(np.polyval(coeffs, frac) * d.astype(np.float64) ** float(alpha)))
+    return total
 
 
 def g_sum(spec: GSumSpec):

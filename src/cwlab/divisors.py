@@ -18,6 +18,9 @@ from math import isqrt
 
 import numpy as np
 
+# work budget of _divisors in trial divisions (n < 1e16); 0.69 s at 1e7
+_TRIAL_DIVISION_LIMIT = 10**8
+
 
 @dataclass(frozen=True)
 class DivisorSpec:
@@ -80,6 +83,8 @@ def _divisors(n: int) -> list[int]:
     """All divisors of n >= 1, via trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if isqrt(n) > _TRIAL_DIVISION_LIMIT:
+        raise ValueError(f"sqrt(n) exceeds the work budget of {_TRIAL_DIVISION_LIMIT} trial divisions")
     out = []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:

@@ -125,10 +125,12 @@ def block_decomposition(rng, draws: int) -> None:
 
 
 def exact_float_agreement(rng, draws: int) -> None:
-    """Exact and float G sums agree to 1e-8 relative at random x < 1e6 and four x near 1e9."""
+    """Exact and float G sums agree to 1e-8 relative at random x < 1e6 and fixed x up to 2**64 + 7."""
     cases = [(rng.randrange(10, 10**6), rng.choice((2, 3)), rng.choice((0, 1, 2)), rng.choice((1, 2, 3)))
              for _ in range(draws)]
-    for x, a, alpha, j in cases + [(10**9, 2, 2, 1), (10**9 - 7, 2, 0, 1), (10**9, 2, 1, 2), (999_999_937, 3, 2, 3)]:
+    cases += [(10**9, 2, 2, 1), (10**9 - 7, 2, 0, 1), (10**9, 2, 1, 2), (999_999_937, 3, 2, 3),
+              (2**62 + 3, 5, 0, 1), (2**63 + 5, 5, 1, 2), (2**64 + 7, 5, 2, 3)]
+    for x, a, alpha, j in cases:
         e, f = float(g_sum(GSumSpec(a, alpha, j, x))), g_sum(GSumSpec(a, float(alpha), j, x))
         _check(abs(e - f) <= 1e-8 * max(1.0, abs(e)), "exact/float", x=x, a=a, alpha=alpha, j=j)
 

@@ -15,8 +15,8 @@ Chowla-Walum components
     x*G_{a,alpha-1,0}(x) - G_{a,alpha+a-1,0}(x)
         + (1/2)*G_{a,alpha,0}(x) - G_{a,alpha,1}(x).
 
-summatory_fast sums over d in chunks, in int64 where x < 2**63 and a
-per-chunk bound proves no sum can wrap, else in Python-int object arrays.
+summatory_fast sums over d in the chunks of _d_chunks, shared with cw_sums:
+int64 where a per-chunk bound proves no sum can wrap, else object arrays.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.
 """
@@ -35,8 +35,8 @@ from .divisors import DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
 _FAST_CHUNK = 1 << 14
-# work budget of summatory_fast in terms (x <= 1e18 at a = 2); the cost is
-# linear, 1.1 s at alpha = 0 and 33 s on object chunks at alpha = 1 for 1e8
+# work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
+# is linear, 1.1 s at alpha = 0 and 33 s on object chunks at alpha = 1 for 1e8
 _FAST_CUTOFF_LIMIT = 10**9
 
 
@@ -109,14 +109,9 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
-    if cut > _FAST_CUTOFF_LIMIT:
-        raise ValueError(f"cutoff {cut} exceeds the work budget of {_FAST_CUTOFF_LIMIT} terms")
     num = int if spec.exact else float
     s_floor = s_pow = s_alpha = num(0)
-    for lo in range(1, cut + 1, _FAST_CHUNK):
-        hi = min(lo + _FAST_CHUNK - 1, cut)
-        dtype = object if spec.exact and not _fits_int64(x, lo, hi, a, alpha) else np.int64
-        d = np.arange(lo, hi + 1, dtype=dtype)
+    for d in _d_chunks(1, cut, _fast_term_bound if spec.exact else None, x, a, alpha):
         w = d**alpha if spec.exact else d.astype(np.float64) ** alpha
         s_floor += num((w * (x // d)).sum())
         s_pow += num((w * d ** (a - 1)).sum())
@@ -124,12 +119,32 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
 
 
-def _fits_int64(x: int, lo: int, hi: int, a: int, alpha: int) -> bool:
-    """Whether every exact term and sum over d in lo..hi provably stays below 2**63."""
+def _d_chunks(lo: int, hi: int, term_bound, *args):
+    """d = lo..hi in numpy chunks of at most _FAST_CHUNK, refused past _FAST_CUTOFF_LIMIT terms.
+
+    A chunk d = start..end is int64 when term_bound(start, end, *args), a bound on
+    every integer term the caller sums over it, times its length is below 2**63,
+    else a Python-int object array; float callers sum nothing in int64 and pass None.
+    """
+    if hi - lo + 1 > _FAST_CUTOFF_LIMIT:
+        raise ValueError(f"{hi - lo + 1} terms exceed the work budget of {_FAST_CUTOFF_LIMIT} terms")
+    for start in range(lo, hi + 1, _FAST_CHUNK):
+        end = min(start + _FAST_CHUNK - 1, hi)
+        fits = term_bound is None or term_bound(start, end, *args) * (end - start + 1) < 2**63
+        yield np.arange(start, end + 1, dtype=np.int64 if fits else object)
+
+
+def _mod(x: int, d: np.ndarray) -> np.ndarray:
+    """x mod d in d's dtype: r < d fits it even where x does not."""
+    return x % d if x < 2**63 else (x % d.astype(object)).astype(d.dtype)
+
+
+def _fast_term_bound(lo: int, hi: int, x: int, a: int, alpha: int) -> int:
     # d^alpha * floor(x/d) <= x * hi^(alpha-1), or x // lo at alpha = 0;
-    # d^(alpha+a-1) <= hi^(alpha+a-1), which also bounds d^alpha and d^(a-1)
+    # d^(alpha+a-1) <= hi^(alpha+a-1), which also bounds d^alpha and d^(a-1);
+    # x // d needs x itself in int64, so at x >= 2**63 no chunk passes
     top = max(x * hi ** (alpha - 1) if alpha >= 1 else x // lo, hi ** (alpha + a - 1))
-    return x < 2**63 and top * (hi - lo + 1) < 2**63
+    return top if x < 2**63 else x
 
 
 def _fraction_sum(pairs) -> tuple[int, int]:
@@ -205,6 +220,6 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
         chunk = _sieve_into(full[lo : lo + _CHUNK], lo, spec, root)
         exact_total += int(chunk.sum()) if spec.exact else 0
     np.cumsum(full, out=full)
-    if spec.exact and (int(full[-1]) != exact_total or (full < 0).any()):
+    if spec.exact and (int(full[-1]) != exact_total or full.min() < 0):
         raise OverflowError("cumulative sums exceeded int64")
     return full

@@ -265,6 +265,18 @@ def test_overlong_exact_value_writes_nothing(tmp_path):
     assert not target.exists()
 
 
+def test_float_gsum_work_budget_exit_2():
+    code, out, err = run(["gsum", "--x", "1e20", "--alpha", "1.0"])
+    assert (code, out) == (2, "")
+    assert "work budget" in err and err.startswith("error:")
+
+
+def test_divisor_work_budget_exit_2():
+    code, out, err = run(["divisor", "--n", str(10**18)])
+    assert (code, out) == (2, "")
+    assert "work budget" in err and err.startswith("error:")
+
+
 def test_summatory_work_budget_exit_2():
     code, out, err = run(["summatory", "--x", str(10**24), "--alpha", "1"])
     assert (code, out) == (2, "")

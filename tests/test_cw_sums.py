@@ -3,17 +3,18 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwlab import invariants
+from cwlab import invariants, summatory
 from cwlab.bernoulli import bernoulli_coefficients, psi
 from cwlab.cw_sums import (
     _EXACT_TERMS_LIMIT,
     GSumSpec,
     _exact_range_sum,
-    _terms_fit_int64,
+    _horner_bound,
     block_g,
     g_sum,
     gsum_cutoff,
@@ -206,25 +207,27 @@ def test_kernel_matches_fraction_loop(a, x, alpha_j, data):
 
 
 def test_kernel_chunk_boundaries(monkeypatch):
-    import cwlab.summatory as s
-
     p = 97
     cases = [(x, alpha, j, lo, hi) for x in (10**6 + 3, 2**63 + 9)
              for alpha, j in ((0, 1), (1, 2), (0, 2), (-2, 0), (3, 3), (0, 4))
              for lo, hi in ((1, p - 1), (1, p), (1, p + 1), (5, 3 * p + 4), (p, 5 * p))]
+    straddling = ((10**9 + 7, 4, 0, 17_000, 18_000, 1), (2**64 + 7, 0, 4, 5_000, 5_600, 121))
+    cases += [case[:5] for case in straddling]
+    want = [_exact_range_sum(*case) for case in cases]
+    monkeypatch.setattr(summatory, "_FAST_CHUNK", p)
     # in chunks of 97, weight * d**4 * 97 < 2**63 holds for the first chunks of
     # these ranges and fails for the last: G_{a,4,0} (weight 1) and
     # G_{a,0,4} (weight 121, B_4 scaled by 30)
-    for x, alpha, j, lo, hi, weight in ((10**9 + 7, 4, 0, 17_000, 18_000, 1),
-                                         (2**64 + 7, 0, 4, 5_000, 5_600, 121)):
-        chunks = [(c, min(c + p - 1, hi)) for c in range(lo, hi + 1, p)]
-        assert {_terms_fit_int64(e, e - c + 1, weight, 4) for c, e in chunks} == {True, False}
-        cases.append((x, alpha, j, lo, hi))
-    want = [_exact_range_sum(*case) for case in cases]
-    monkeypatch.setattr(s, "_FAST_CHUNK", p)
+    for x, alpha, j, lo, hi, weight in straddling:
+        dtypes = {d.dtype for d in summatory._d_chunks(lo, hi, _horner_bound, weight, 4)}
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for case, w in zip(cases, want):
         got = _exact_range_sum(*case)
         assert same(got, w) and same(got, reference_range_sum(*case)), case
+    # float mode over the same 97-term chunks, x mod d taken past 2**63
+    spec = GSumSpec(5, 1, 2, 2**63 + 5)
+    exact = float(g_sum(spec))
+    assert g_sum(GSumSpec(5, 1.0, 2, spec.x)) == pytest.approx(exact, rel=1e-12)
 
 
 def test_kernel_on_benchmark_inputs():
@@ -257,4 +260,29 @@ def test_exact_work_budget():
     # terms count times the fraction degree e = j - alpha: 2**18 + 1 terms at e = 4
     with pytest.raises(ValueError, match="work budget"):
         g_sum(GSumSpec(2, 0, 4, (2**18 + 1) ** 2))
-    assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)   # float mode has no budget
+    # float mode is bounded by the summatory_fast cutoff budget, far above this
+    assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)
+
+
+def test_float_work_budget():
+    # refused from the range length alone, before any chunk is built
+    limit = summatory._FAST_CUTOFF_LIMIT
+    for spec in (GSumSpec(2, 1.0, 1, 2**63 + 5), GSumSpec(2, 1.0, 2, 4.0 * limit * limit),
+                 GSumSpec(3, 0, 1, 1e30)):
+        with pytest.raises(ValueError, match="work budget"):
+            g_sum(spec)
+    with pytest.raises(ValueError, match="work budget"):
+        block_g(limit + 1, GSumSpec(2, 0.0, 1, 10**20))
+    # the budget counts the block's terms, not the cutoff
+    assert isinstance(block_g(2**16, GSumSpec(2, 0.0, 1, 10**20)), float)
+
+
+def test_float_g_sum_memory_bounded():
+    # chunks of 2**14 terms: a cutoff-length float64 array is 8 MB at x = 1e12
+    tracemalloc.start()
+    try:
+        g_sum(GSumSpec(2, 1.0, 2, 10**12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -5,6 +5,7 @@ import pytest
 
 from cwlab import invariants
 from cwlab.divisors import (
+    _TRIAL_DIVISION_LIMIT,
     DivisorSpec,
     _sigma_table,
     divisor_sum_restricted,
@@ -142,3 +143,11 @@ def test_boundary_inclusion():
 def test_table_overflow_guard():
     with pytest.raises(OverflowError):
         restricted_sigma_table(10**6, DivisorSpec(2, 12))
+
+
+def test_divisors_work_budget():
+    # refused from isqrt(n) alone: trial division to 2**200 would never end
+    for n in ((_TRIAL_DIVISION_LIMIT + 1) ** 2, 10**18, 2**400):
+        for fn in (tau, lambda n: sigma_alpha(n, 1), lambda n: divisor_sum_restricted(n, DivisorSpec(2, 1))):
+            with pytest.raises(ValueError, match="work budget"):
+                fn(n)

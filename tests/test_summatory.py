@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cwlab import invariants
@@ -12,7 +13,8 @@ from cwlab.summatory import (
     _FAST_CUTOFF_LIMIT,
     BRUTEFORCE_LIMIT,
     _FAST_CHUNK,
-    _fits_int64,
+    _d_chunks,
+    _fast_term_bound,
     _fraction_sum,
     summatory_bruteforce,
     summatory_bruteforce_table,
@@ -151,7 +153,8 @@ def test_bruteforce_chunking():
 
 def test_bruteforce_table_peak_memory():
     # the table is sieved into its one output array and summed in place: a
-    # separate chunk copy or an out-of-place cumsum doubles the peak
+    # separate chunk copy or an out-of-place cumsum doubles the peak, and a
+    # bool mask for the wrap check adds an eighth
     limit = 10**6
     for spec in (DivisorSpec(2, 1), DivisorSpec(3, 0.5)):
         tracemalloc.start()
@@ -160,7 +163,7 @@ def test_bruteforce_table_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * 8 * (limit + 1), (spec, peak)
+        assert peak <= 1.05 * 8 * (limit + 1), (spec, peak)
 
 
 def test_table_matches_scalar():
@@ -188,14 +191,14 @@ def test_fast_chunk_boundaries(monkeypatch):
     p = 97
     cases = [(c**2 + r, DivisorSpec(2, alpha)) for c in (p - 1, p, p + 1, 3 * p, 5 * p + 2)
              for r in (-1, 0, 1) for alpha in (0, 1, 2)]
-    # cutoff 10**5 in chunks of 97: early chunks pass the int64 bound, later ones do not
-    chunks = [(lo, min(lo + p - 1, 10**5)) for lo in range(1, 10**5 + 1, p)]
-    assert {_fits_int64(10**10, lo, hi, 2, 3) for lo, hi in chunks} == {True, False}
     cases.append((10**10, DivisorSpec(2, 3)))
     # alpha = 0: later chunks pass the term bound, so only x < 2**63 keeps them off int64
     cases.append((2**63 + 1, DivisorSpec(4, 0)))
     want = [fast_fields(x, spec) for x, spec in cases]
     monkeypatch.setattr(s, "_FAST_CHUNK", p)
+    # cutoff 10**5 in chunks of 97: early chunks pass the int64 bound, later ones do not
+    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_term_bound, 10**10, 2, 3)}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for (x, spec), w in zip(cases, want):
         assert fast_fields(x, spec) == w == loop_reference(x, spec)
 
@@ -222,7 +225,7 @@ def test_fast_near_int64_limit(alpha):
 def test_fast_object_dtype_below_int64():
     # x < 2**63, but d^4 * floor(x/d) summed over a chunk would wrap int64
     x, spec = 10**10, DivisorSpec(2, 4)
-    assert not _fits_int64(x, 1, _FAST_CHUNK, 2, 4)
+    assert next(_d_chunks(1, _FAST_CHUNK, _fast_term_bound, x, 2, 4)).dtype == object
     assert fast_fields(x, spec) == loop_reference(x, spec)
 
 
