@@ -71,12 +71,16 @@ def bernoulli_poly(j: int, x):
 def psi(x):
     """Sawtooth psi(x) = x - floor(x) - 1/2, in [-1/2, 1/2).
 
-    Exact (Fraction) for int/Fraction input, float otherwise.
+    Exact (Fraction) for int/Fraction input, elementwise on a float array,
+    float otherwise.
     """
+    if isinstance(x, np.ndarray):
+        return x - np.floor(x) - 0.5
     if isinstance(x, float):
         return x - math.floor(x) - 0.5
     x = Fraction(x)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
+    num, den = x.numerator, x.denominator
+    return Fraction(2 * (num % den) - den, 2 * den)
 
 
 def frac_part(x):

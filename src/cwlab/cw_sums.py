@@ -8,9 +8,12 @@ conjecture quantifies; j = 0 additionally admits negative alpha.
 
 Exact mode (integer x, integer alpha) splits every term at its remainder
 r = x mod d into an integer part, summed over numpy chunks in int64 where a
-bound proves it safe, and a proper fraction s/d^e, folded by a gcd-reducing
-binary merge; one Fraction is formed at the end, so cancellation-prone
-values are never touched by rounding.
+bound proves it safe, and a proper fraction s/d^e.  The fractions of each
+chunk are summed on Python ints by summatory._fraction_sum, a pairwise tree
+whose nodes keep the lcm of their denominators, and one more tree sums the
+chunk sums.  One Fraction is formed at the end, so cancellation-prone values
+are never touched by rounding.  Exact shifted psi block sums run the same
+tree over their N exact psi values.
 Float mode is a double-precision pass over the same chunks of d (int64 for
 every x), within the summatory_fast work budget: with integer x the
 fractional parts {x/d} come from the exact remainder x mod d, which keeps
@@ -24,6 +27,8 @@ comparisons with a +-2 correction sweep.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +44,10 @@ from .divisors import integer_root
 # the common denominator grows by about 0.43 * e digits a term, and G_{2,1,2}
 # (e = 1) takes 26 s at the limit (x = 1.1e12 at a = 2)
 _EXACT_TERMS_LIMIT = 1 << 20
+# work budget of one exact shifted_psi_block_sum in N: the lcm of the 4(4n + a')
+# grows by about 5.8 bits a term, so the cost grows faster than N; 0.9 s at the
+# limit, 0.1 s at 2**14 (2-vCPU x86-64)
+_PSI_BLOCK_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,50 +115,52 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     term is P_d / (den_c * d^e), where e = max(j - alpha, 0) and
     P_d = d^max(alpha - j, 0) * sum_k c_k r^k d^(j-k).  divmod(P_d, d^e)
     splits it into a whole part, summed per chunk in numpy, and a proper
-    fraction s_d / d^e, folded by summatory._fraction_sum.  Int for j = 0 and
-    alpha >= 0, Fraction otherwise.
+    fraction s_d / d^e; each chunk's nonzero s_d / d^e go to the fraction tree
+    summatory._fraction_sum as arrays, and one more tree sums the chunk sums.
+    Int for j = 0 and alpha >= 0, Fraction otherwise.
     """
     e, lift = max(j - alpha, 0), max(alpha - j, 0)
     if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
         raise ValueError(
             f"{hi - lo + 1} exact terms of degree {e} exceed the work budget of {_EXACT_TERMS_LIMIT}"
         )
-    coeffs = bernoulli_coefficients(j)
-    den_c = math.lcm(*(b.denominator for b in coeffs))
-    c = [int(b * den_c) for b in coeffs]
+    den_c, c = _scaled_coefficients(j)
     weight, power = sum(map(abs, c)), max(j, abs(alpha))
-    whole = 0
-
-    def proper_fractions():
-        nonlocal whole
-        for d in summatory._d_chunks(lo, hi, _horner_bound, weight, power):
-            if j:
-                r = summatory._mod(x, d)
-            # homogeneous Horner: p = sum_{i >= k} c_i r^(i-k) d^(j-i) at step k
-            p, d_pow = np.full_like(d, c[j]), 1
-            for k in range(j - 1, -1, -1):
-                d_pow = d_pow * d
-                p = p * r
-                if c[k]:
-                    p += c[k] * d_pow
-            if lift:
-                p *= d**lift
-            if not e:
-                whole += int(p.sum())
-                continue
-            den = d**e
-            s = p % den
-            whole += int((p // den).sum())
-            keep = s != 0
-            s, den = s[keep], den[keep]
-            # Python-int copies in slices of 1024 keep the peak memory low
-            for i in range(0, len(s), 1024):
-                yield from zip(s[i : i + 1024].tolist(), den[i : i + 1024].tolist())
-
-    num, den = summatory._fraction_sum(proper_fractions())
+    whole, nums, dens = 0, [], []
+    for d in summatory._d_chunks(lo, hi, _horner_bound, weight, power):
+        if j:
+            r = summatory._mod(x, d)
+        # homogeneous Horner: p = sum_{i >= k} c_i r^(i-k) d^(j-i) at step k
+        p, d_pow = np.full_like(d, c[j]), 1
+        for k in range(j - 1, -1, -1):
+            d_pow = d_pow * d
+            p = p * r
+            if c[k]:
+                p += c[k] * d_pow
+        if lift:
+            p *= d**lift
+        if not e:
+            whole += int(p.sum())
+            continue
+        den = d**e
+        s = p % den
+        whole += int((p // den).sum())
+        keep = s != 0
+        part = summatory._fraction_sum(s[keep], den[keep])
+        nums.append(part[0])
+        dens.append(part[1])
     if j == 0 and alpha >= 0:
         return whole
+    num, den = summatory._fraction_sum(nums, dens)
     return Fraction(whole * den + num, den * den_c)
+
+
+@functools.cache
+def _scaled_coefficients(j: int) -> tuple[int, tuple[int, ...]]:
+    """(den_c, c): den_c * B_j as integer coefficients c, den_c their least common denominator."""
+    coeffs = bernoulli_coefficients(j)
+    den_c = math.lcm(*(b.denominator for b in coeffs))
+    return den_c, tuple(int(b * den_c) for b in coeffs)
 
 
 def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
@@ -207,7 +218,10 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
 
     The block sums whose cancellation drives the sharpest unconditional
     error exponents.  Requires |shift_a| + |shift_b| <= 1 and
-    3 <= N <= sqrt(x); exact rational result for integer x.
+    3 <= N <= sqrt(x).  Integer x gives the exact rational sum, one psi per n
+    summed by the fraction tree summatory._fraction_sum, for N up to
+    _PSI_BLOCK_LIMIT; other x a float sum over numpy chunks of n, within the
+    summatory_fast work budget.
     """
     if abs(shift_a) + abs(shift_b) > 1:
         raise ValueError("|shift_a| + |shift_b| must be <= 1")
@@ -218,11 +232,17 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
     if n_start * n_start > x:
         raise ValueError(f"block start {n_start} exceeds sqrt(x)")
     if isinstance(x, int):
-        total = Fraction(0)
+        if n_start > _PSI_BLOCK_LIMIT:
+            raise ValueError(f"{n_start} exact block terms exceed the work budget of {_PSI_BLOCK_LIMIT}")
+        nums, dens = [], []
         for n in range(n_start + 1, 2 * n_start + 1):
-            total += psi(Fraction(4 * x, 4 * n + shift_a) + Fraction(shift_b, 4))
-        return total
-    return math.fsum(
-        psi(4.0 * x / (4 * n + shift_a) + shift_b / 4.0)
-        for n in range(n_start + 1, 2 * n_start + 1)
+            m = 4 * n + shift_a
+            p = psi(Fraction(16 * x + shift_b * m, 4 * m))
+            nums.append(p.numerator)
+            dens.append(p.denominator)
+        return Fraction(*summatory._fraction_sum(nums, dens))
+    chunks = (
+        psi(4.0 * x / (4 * n + shift_a) + shift_b / 4.0).tolist()
+        for n in summatory._d_chunks(n_start + 1, 2 * n_start, None)
     )
+    return math.fsum(itertools.chain.from_iterable(chunks))

@@ -66,7 +66,12 @@ class SummatoryBreakdown:
         if self.spec.exact:
             if alpha >= 1:
                 return sum(d ** (alpha - 1) for d in range(1, cut + 1))
-            return Fraction(*_fraction_sum((1, d) for d in range(1, cut + 1)))
+            nums, dens = [], []
+            for d in _d_chunks(1, cut, None):
+                num, den = _fraction_sum(np.ones_like(d), d)
+                nums.append(num)
+                dens.append(den)
+            return Fraction(*_fraction_sum(nums, dens))
         return math.fsum(d ** (alpha - 1.0) for d in range(1, cut + 1))
 
     @cached_property
@@ -124,7 +129,8 @@ def _d_chunks(lo: int, hi: int, term_bound, *args):
 
     A chunk d = start..end is int64 when term_bound(start, end, *args), a bound on
     every integer term the caller sums over it, times its length is below 2**63,
-    else a Python-int object array; float callers sum nothing in int64 and pass None.
+    else a Python-int object array.  Callers that sum no integer term over d
+    in numpy (float sums, fraction trees on Python ints) pass None.
     """
     if hi - lo + 1 > _FAST_CUTOFF_LIMIT:
         raise ValueError(f"{hi - lo + 1} terms exceed the work budget of {_FAST_CUTOFF_LIMIT} terms")
@@ -147,30 +153,33 @@ def _fast_term_bound(lo: int, hi: int, x: int, a: int, alpha: int) -> int:
     return top if x < 2**63 else x
 
 
-def _fraction_sum(pairs) -> tuple[int, int]:
-    """(num, den) with num/den = sum of num_i/den_i over pairs, unreduced.
+def _fraction_sum(num, den) -> tuple[int, int]:
+    """(n, d) with n/d = sum of num[i]/den[i], den[i] > 0, unreduced; (0, 1) if empty.
 
-    A binary-counter merge: the k-th pair is merged with as many stacked
-    partial sums as k has trailing zero bits, so operands stay of equal size
-    and only O(log n) partial sums are held.  Each merge divides out the gcd
-    of the two denominators, so a partial sum's denominator is the lcm of its
-    den_i, not their product.
+    A pairwise tree: each level merges neighbours 2i, 2i + 1 and divides out
+    the gcd of their denominators, so a node's denominator is the lcm of its
+    leaves' den[i], not their product, and (n, d) does not depend on the
+    tree's shape.  Arrays are summed as Python-int lists, so no merged value
+    can overflow, in slices of 1024, which keeps the peak memory low.
     """
-    stack = []
-    for k, (num, den) in enumerate(pairs, 1):
-        while not k & 1:
-            num, den = _merge(*stack.pop(), num, den)
-            k >>= 1
-        stack.append((num, den))
-    num, den = 0, 1
-    while stack:
-        num, den = _merge(*stack.pop(), num, den)
-    return num, den
-
-
-def _merge(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    g = math.gcd(b, d)
-    return a * (d // g) + c * (b // g), b // g * d
+    if isinstance(den, np.ndarray):
+        parts = [
+            _fraction_sum(num[i : i + 1024].tolist(), den[i : i + 1024].tolist())
+            for i in range(0, len(den), 1024)
+        ]
+        num, den = [n for n, _ in parts], [d for _, d in parts]
+    while len(den) > 1:
+        merged_num, merged_den = [], []
+        for a, b, c, e in zip(num[::2], den[::2], num[1::2], den[1::2]):
+            g = math.gcd(b, e)
+            b //= g
+            merged_num.append(a * (e // g) + c * b)
+            merged_den.append(b * e)
+        if len(den) % 2:
+            merged_num.append(num[-1])
+            merged_den.append(den[-1])
+        num, den = merged_num, merged_den
+    return (num[0], den[0]) if den else (0, 1)
 
 
 def _brute_root(x: int, spec: DivisorSpec) -> int:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cwlab import invariants
@@ -70,6 +71,15 @@ def test_psi_range():
     for _ in range(1000):
         v = psi(rng.uniform(-50, 50))
         assert -0.5 <= v < 0.5
+
+
+def test_psi_exact_and_array():
+    rng = random.Random(11)
+    for _ in range(1000):
+        x = Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**12))
+        assert psi(x) == x - math.floor(x) - Fraction(1, 2)
+    t = np.array([rng.uniform(-1e12, 1e12) for _ in range(1000)] + [-0.25, 2.5, 3.0])
+    assert psi(t).tolist() == [psi(float(v)) for v in t]
 
 
 def test_frac_part():

@@ -271,6 +271,12 @@ def test_float_gsum_work_budget_exit_2():
     assert "work budget" in err and err.startswith("error:")
 
 
+def test_bw_work_budget_exit_2():
+    code, out, err = run(["bw", "--n", str(10**8), "--x", str(10**17)])
+    assert (code, out) == (2, "")
+    assert "work budget" in err and err.startswith("error:")
+
+
 def test_divisor_work_budget_exit_2():
     code, out, err = run(["divisor", "--n", str(10**18)])
     assert (code, out) == (2, "")

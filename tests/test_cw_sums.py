@@ -12,6 +12,7 @@ from cwlab import invariants, summatory
 from cwlab.bernoulli import bernoulli_coefficients, psi
 from cwlab.cw_sums import (
     _EXACT_TERMS_LIMIT,
+    _PSI_BLOCK_LIMIT,
     GSumSpec,
     _exact_range_sum,
     _horner_bound,
@@ -176,10 +177,41 @@ def test_shifted_psi_block_validation():
         shifted_psi_block_sum(3, 0.5, 0, 0)
 
 
+SHIFTS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def psi_loop(n_start, x, shift_a, shift_b):
+    # one exact sawtooth per n, added one Fraction at a time: the tree's reference
+    return sum((psi(Fraction(4 * x, 4 * n + shift_a) + Fraction(shift_b, 4))
+                for n in range(n_start + 1, 2 * n_start + 1)), Fraction(0))
+
+
+def psi_float_loop(n_start, x, shift_a, shift_b):
+    # one float sawtooth per n: the chunked float path must give the same fsum
+    return math.fsum(psi(4.0 * x / (4 * n + shift_a) + shift_b / 4.0)
+                     for n in range(n_start + 1, 2 * n_start + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shift=st.sampled_from(SHIFTS),
+    n_start=st.integers(3, 400),
+    # small x, and x past 2**59 where 16x and the numerators leave int64
+    x=st.one_of(st.integers(0, 10**7), st.integers(2**59 - 100, 2**80)),
+)
+def test_shifted_psi_block_matches_psi_loop(shift, n_start, x):
+    x = max(x, n_start * n_start)
+    assert shifted_psi_block_sum(n_start, x, *shift) == psi_loop(n_start, x, *shift)
+
+
 def test_shifted_psi_block_float_mode():
     e = shifted_psi_block_sum(3, 16, 0, -1)
     f = shifted_psi_block_sum(3, 16.0, 0, -1)
     assert f == pytest.approx(float(e), abs=1e-12)
+    # 20,000 terms cross a chunk boundary of n and still sum to the loop's fsum
+    for shift in SHIFTS:
+        assert shifted_psi_block_sum(20_000, 4.5e8 + 0.25, *shift) == psi_float_loop(
+            20_000, 4.5e8 + 0.25, *shift)
 
 
 # j in 0..4 with alpha in -3..4, negative alpha only at j = 0
@@ -228,6 +260,9 @@ def test_kernel_chunk_boundaries(monkeypatch):
     spec = GSumSpec(5, 1, 2, 2**63 + 5)
     exact = float(g_sum(spec))
     assert g_sum(GSumSpec(5, 1.0, 2, spec.x)) == pytest.approx(exact, rel=1e-12)
+    # float shifted psi blocks over 97-term chunks of n
+    for shift in SHIFTS:
+        assert shifted_psi_block_sum(300, 1e10 + 0.5, *shift) == psi_float_loop(300, 1e10 + 0.5, *shift)
 
 
 def test_kernel_on_benchmark_inputs():
@@ -238,8 +273,8 @@ def test_kernel_on_benchmark_inputs():
 
 
 def test_exact_g_sum_memory_bounded():
-    # the fractions are merged as they come (peak about 1 MB); a list of all
-    # 31,622 pairs would raise the peak to about 4.5 MB
+    # each chunk's fractions are summed by one tree before the next chunk is
+    # built; a list of all 31,622 pairs would raise the peak to about 4.5 MB
     for alpha, j in ((0, 1), (1, 2), (0, 2)):
         tracemalloc.start()
         try:
@@ -262,6 +297,19 @@ def test_exact_work_budget():
         g_sum(GSumSpec(2, 0, 4, (2**18 + 1) ** 2))
     # float mode is bounded by the summatory_fast cutoff budget, far above this
     assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)
+
+
+def test_shifted_psi_block_work_budget():
+    # exact mode is refused from N alone, before any term is computed
+    with pytest.raises(ValueError, match="work budget"):
+        shifted_psi_block_sum(_PSI_BLOCK_LIMIT + 1, 10**17, 1, 0)
+    # float mode shares the summatory_fast budget, refused before any chunk is built
+    limit = summatory._FAST_CUTOFF_LIMIT
+    with pytest.raises(ValueError, match="work budget"):
+        shifted_psi_block_sum(limit + 1, 1e19, 1, 0)
+    # far below it, 2**20 + 1 float terms run
+    n = 2**20 + 1
+    assert isinstance(shifted_psi_block_sum(n, float(n * n), 1, 0), float)
 
 
 def test_float_work_budget():

@@ -276,11 +276,35 @@ def test_harmonic_sum_matches_fraction_loop():
 
 
 def test_fraction_sum_merge():
+    def check(num, den):
+        got = _fraction_sum(num, den)
+        want = sum((Fraction(int(p), int(q)) for p, q in zip(num, den)), Fraction(0))
+        assert Fraction(*got) == want
+        return got
+
     rng = random.Random(71)
-    for n in (0, 1, 2, 3, 7, 8, 9, 100, 1025):
-        pairs = [(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(n)]
-        num, den = _fraction_sum(iter(pairs))
-        assert Fraction(num, den) == sum((Fraction(p, q) for p, q in pairs), Fraction(0))
+    assert _fraction_sum(np.zeros(0, np.int64), np.zeros(0, np.int64)) == (0, 1)
+    assert _fraction_sum([], []) == (0, 1)
+    # odd and even lengths, negative numerators, as int64 arrays, object
+    # arrays and lists, which must all give the same unreduced pair
+    for n in (1, 2, 3, 7, 8, 9, 63, 64, 65, 100, 1025):
+        num = [rng.randrange(-10**6, 10**6) for _ in range(n)]
+        den = [rng.randrange(1, 10**4) for _ in range(n)]
+        got = check(np.array(num), np.array(den))
+        assert check(np.array(num, dtype=object), np.array(den, dtype=object)) == got
+        assert check(num, den) == got
+    # int64 input with denominators near 2**31: the lcms of the second level
+    # pass 2**63, so the merges must not run in int64
+    num = np.array([rng.randrange(-2**20, 2**20) for _ in range(257)])
+    den = np.array([2**31 - 1 - 2 * rng.randrange(2**20) for _ in range(257)])
+    check(num, den)
+    den = np.array([2**31 - 1 - 2 * k for k in range(1000)])
+    assert _fraction_sum(np.zeros(1000, dtype=np.int64), den) == (0, math.lcm(*den.tolist()))
+    # object input past 2**63
+    check(np.array([3**50 + k for k in range(-40, 41)], dtype=object),
+          np.array([2**70 + k for k in range(81)], dtype=object))
     # denominators stay at the lcm, not the product
-    num, den = _fraction_sum((1, d) for d in range(1, 41))
-    assert den == math.lcm(*range(1, 41))
+    for n in (40, 100):
+        lcm = math.lcm(*range(1, n + 1))
+        assert _fraction_sum(np.ones(n, dtype=np.int64), np.arange(1, n + 1))[1] == lcm
+        assert _fraction_sum([1] * n, list(range(1, n + 1)))[1] == lcm
