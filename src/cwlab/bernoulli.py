@@ -15,6 +15,7 @@ same Horner scheme, and rounded once at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -51,6 +52,14 @@ def bernoulli_coefficients(j: int) -> tuple[Fraction, ...]:
             body[0] = const
             _coeff_cache[deg] = tuple(body)
         return _coeff_cache[j]
+
+
+@functools.cache
+def _scaled_coefficients(j: int) -> tuple[int, tuple[int, ...]]:
+    """(den_c, c): den_c * B_j as integer coefficients c, den_c their least common denominator."""
+    coeffs = bernoulli_coefficients(j)
+    den_c = math.lcm(*(b.denominator for b in coeffs))
+    return den_c, tuple(int(b * den_c) for b in coeffs)
 
 
 def _horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:

@@ -16,8 +16,11 @@ are never touched by rounding.  Exact shifted psi block sums run the same
 tree over their N exact psi values.
 Float mode is a double-precision pass over the same chunks of d (int64 for
 every x), within the summatory_fast work budget: with integer x the
-fractional parts {x/d} come from the exact remainder x mod d, which keeps
-the sawtooth accurate even when x/d is far above 2^53 * ulp territory.
+fractional parts {x/d} = r/d come from the exact remainder r = x mod d,
+which keeps the sawtooth accurate even when x/d is far above 2^53 * ulp
+territory.  Below x = 2^53, r = x - d*q with the float64 quotient
+q = summatory._quotient(x, d), which is exact; from 2^53 on r is an
+integer remainder.
 
 The cutoff D = floor(x^(1/a)) is always decided in integer or extended
 precision arithmetic: integer a compares d**a <= x exactly, rational a = p/q
@@ -27,7 +30,6 @@ comparisons with a +-2 correction sweep.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ import numpy as np
 from mpmath import mp
 
 from . import summatory
-from .bernoulli import bernoulli_coefficients, psi
+from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
 from .divisors import integer_root
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
@@ -155,14 +157,6 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     return Fraction(whole * den + num, den * den_c)
 
 
-@functools.cache
-def _scaled_coefficients(j: int) -> tuple[int, tuple[int, ...]]:
-    """(den_c, c): den_c * B_j as integer coefficients c, den_c their least common denominator."""
-    coeffs = bernoulli_coefficients(j)
-    den_c = math.lcm(*(b.denominator for b in coeffs))
-    return den_c, tuple(int(b * den_c) for b in coeffs)
-
-
 def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
     # every Horner value, power of d and whole part over d <= hi is at most
     # weight * hi**power, with weight the sum of |c_k|, so a chunk sum is at
@@ -172,14 +166,32 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     """Double-precision sum over lo <= d <= hi: one numpy sum of
-    polyval(B_j, {x/d}) * d**alpha per chunk, the chunk sums added in order."""
+    B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
+
+    B_j runs by Horner's rule in place, the same operations as np.polyval.
+    """
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
     total = 0.0
     for d in summatory._d_chunks(lo, hi, None):
-        frac = 0.0  # B_0 = 1 needs no {x/d}
+        w = d.astype(np.float64)  # d, then d**alpha in place
+        p = 1.0  # B_0 = 1 needs no {x/d}
         if j:
-            frac = summatory._mod(x, d) / d if isinstance(x, int) else np.modf(float(x) / d)[0]
-        total += float(np.sum(np.polyval(coeffs, frac) * d.astype(np.float64) ** float(alpha)))
+            if not isinstance(x, int):
+                frac = np.modf(float(x) / w)[0]
+            elif x < 2**53:
+                frac = summatory._quotient(x, w)
+                frac *= w
+                np.subtract(x, frac, out=frac)
+                frac /= w
+            else:
+                frac = summatory._mod(x, d) / d
+            p = np.full_like(frac, coeffs[0])
+            for c in coeffs[1:]:
+                p *= frac
+                p += c
+        w **= float(alpha)
+        w *= p
+        total += float(np.sum(w))
     return total
 
 

@@ -17,6 +17,10 @@ Chowla-Walum components
 
 summatory_fast sums over d in the chunks of _d_chunks, shared with cw_sums:
 int64 where a per-chunk bound proves no sum can wrap, else object arrays.
+Below x = 2^53 the floor quotients of an int64 chunk come from a float64
+division and floor, exactly (see _quotient); from 2^53 on they are integer
+divisions.  In integer mode only sum d^alpha floor(x/d) runs over the
+chunks: the power sums sum d^m have a closed form in Bernoulli polynomials.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.
 """
@@ -30,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bernoulli import MAX_DEGREE, _scaled_coefficients
 from .divisors import DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
@@ -65,7 +70,7 @@ class SummatoryBreakdown:
         alpha, cut = self.spec.alpha, self.cutoff
         if self.spec.exact:
             if alpha >= 1:
-                return sum(d ** (alpha - 1) for d in range(1, cut + 1))
+                return _power_sum(cut, alpha - 1)
             nums, dens = [], []
             for d in _d_chunks(1, cut, None):
                 num, den = _fraction_sum(np.ones_like(d), d)
@@ -114,14 +119,61 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
+    # exact power sums come from their closed form up to the Bernoulli degree
+    # cap; past it they stay in the chunk loop, a product and a sum a chunk
+    closed = spec.exact and alpha + a <= MAX_DEGREE
     num = int if spec.exact else float
     s_floor = s_pow = s_alpha = num(0)
+    float_quotient = x < 2**53
     for d in _d_chunks(1, cut, _fast_term_bound if spec.exact else None, x, a, alpha):
-        w = d**alpha if spec.exact else d.astype(np.float64) ** alpha
-        s_floor += num((w * (x // d)).sum())
-        s_pow += num((w * d ** (a - 1)).sum())
-        s_alpha += num(w.sum())
+        if spec.exact:
+            w = d**alpha
+            q = _quotient(x, d).astype(np.int64) if float_quotient and d.dtype != object else x // d
+        else:
+            w = d.astype(np.float64)  # d, then d**alpha in place
+            q = _quotient(x, w) if float_quotient else (x // d).astype(np.float64)
+            w **= alpha
+        q *= w
+        s_floor += num(q.sum())
+        if not closed:
+            s_pow += num((w * d ** (a - 1)).sum())
+            s_alpha += num(w.sum())
+    if closed:
+        s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
+
+
+def _power_sum(n: int, m: int) -> int:
+    """sum_{d <= n} d^m = (B_{m+1}(n + 1) - B_{m+1}(1)) / (m + 1), exactly.
+
+    B_{m+1} is evaluated by Horner's rule on Python ints with the cached
+    integer-scaled coefficients, so the cost does not grow with n.  Past
+    bernoulli.MAX_DEGREE the coefficients would cost more than the terms
+    (their recurrence grows faster than quadratically in the degree), so
+    d^m is summed directly.
+    """
+    if m >= MAX_DEGREE:
+        return sum(d**m for d in range(1, n + 1))
+    den_c, c = _scaled_coefficients(m + 1)
+    acc = 0
+    for ck in reversed(c):
+        acc = acc * (n + 1) + ck
+    return (acc - sum(c)) // (den_c * (m + 1))
+
+
+def _quotient(x: int, d: np.ndarray) -> np.ndarray:
+    """x // d as float64, for 0 <= x < 2**53 and a chunk of integers 1 <= d < 2**53.
+
+    The chunk may be int64 or float64: its entries are exact floats either
+    way.  floor(fl(x / d)) = x // d, and x - d * q is the exact remainder.
+    Proof: with q = x // d, x/d lies in [q, q + 1 - 1/d], and q is a float.
+    Rounding is monotone, so fl(x/d) >= q, and its error is below
+    (x/d) * 2**-53 < 1/d, so fl(x/d) < q + 1.  Then d * q <= x < 2**53 and
+    x - d * q are exact too.  A float division and a floor cost less than
+    half of an int64 x // d or x % d.  At x >= 2**53 only those are exact.
+    """
+    q = np.divide(float(x), d)
+    return np.floor(q, out=q)
 
 
 def _d_chunks(lo: int, hi: int, term_bound, *args):

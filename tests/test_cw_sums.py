@@ -56,6 +56,19 @@ def reference_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     return total
 
 
+def float_reference_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
+    # the float kernel as it was before the float64 quotient: x mod d in the
+    # chunk's dtype, then np.polyval
+    coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
+    total = 0.0
+    for d in summatory._d_chunks(lo, hi, None):
+        frac = 0.0
+        if j:
+            frac = summatory._mod(x, d) / d if isinstance(x, int) else np.modf(float(x) / d)[0]
+        total += float(np.sum(np.polyval(coeffs, frac) * d.astype(np.float64) ** float(alpha)))
+    return total
+
+
 def same(got, want) -> bool:
     return type(got) is type(want) and got == want
 
@@ -263,6 +276,24 @@ def test_kernel_chunk_boundaries(monkeypatch):
     # float shifted psi blocks over 97-term chunks of n
     for shift in SHIFTS:
         assert shifted_psi_block_sum(300, 1e10 + 0.5, *shift) == psi_float_loop(300, 1e10 + 0.5, *shift)
+
+
+@pytest.mark.parametrize("chunk", (None, 97))
+def test_float_kernel_bit_equal_to_integer_remainder(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(summatory, "_FAST_CHUNK", chunk)
+    xs = [1, 17, 10**4 + 1, 2**31 + 11, 10**9 + 7, 10**12 + 39, 2**53 - 1, 2**53, 2**53 + 1,
+          2**63 + 5, 10.5, 1e10 + 0.25, 4.5e15]
+    for a in (2, 3, 5):
+        for x in xs:
+            cut = gsum_cutoff(x, a)
+            if cut > (10**6 if chunk is None else 10**5):
+                continue
+            for alpha, j in ((0.0, 0), (-1.5, 0), (1.0, 1), (0.0, 1), (1.0, 2), (0.5, 2), (2.5, 3), (0.0, 4)):
+                spec = GSumSpec(a, alpha, j, x)
+                assert g_sum(spec) == float_reference_range_sum(x, alpha, j, 1, cut), (a, x, alpha, j)
+                lo, hi = 2**9 + 1, min(2**10, cut)
+                assert block_g(2**9, spec) == float_reference_range_sum(x, alpha, j, lo, hi)
 
 
 def test_kernel_on_benchmark_inputs():

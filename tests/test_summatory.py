@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwlab import invariants
+from cwlab import summatory as s
 from cwlab.divisors import DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table
 from cwlab.invariants import SPECS
 from cwlab.summatory import (
@@ -16,6 +19,7 @@ from cwlab.summatory import (
     _d_chunks,
     _fast_term_bound,
     _fraction_sum,
+    _quotient,
     summatory_bruteforce,
     summatory_bruteforce_table,
     summatory_fast,
@@ -37,6 +41,18 @@ def loop_reference(x: int, spec: DivisorSpec):
         s_pow += da * d ** (a - 1)
         s_alpha += da
     return s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha
+
+
+def float_fast_reference(x: int, spec: DivisorSpec):
+    # the float kernel as it was before the float64 quotient: x // d in int64
+    cut = integer_root(x, spec.a) if x >= 1 else 0
+    s_floor = s_pow = s_alpha = 0.0
+    for d in _d_chunks(1, cut, None):
+        w = d.astype(np.float64) ** spec.alpha
+        s_floor += float((w * (x // d)).sum())
+        s_pow += float((w * d ** (spec.a - 1)).sum())
+        s_alpha += float(w.sum())
+    return s_floor - s_pow + s_alpha, s_floor, s_pow, s_alpha
 
 
 def fast_fields(x: int, spec: DivisorSpec):
@@ -308,3 +324,67 @@ def test_fraction_sum_merge():
         lcm = math.lcm(*range(1, n + 1))
         assert _fraction_sum(np.ones(n, dtype=np.int64), np.arange(1, n + 1))[1] == lcm
         assert _fraction_sum([1] * n, list(range(1, n + 1)))[1] == lcm
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quotient_is_floor_division(data):
+    # near 2**53 the rounding of x / d is coarsest, and at x = k*d - 1 the
+    # quotient sits just below an integer
+    x = data.draw(st.one_of(st.integers(0, 2**53 - 1), st.integers(2**53 - 2**20, 2**53 - 1)), label="x")
+    top = max(math.isqrt(x), 1)
+    ds = data.draw(st.lists(st.one_of(st.integers(1, top), st.integers(1, 100)), min_size=1, max_size=40),
+                   label="d")
+    if data.draw(st.booleans(), label="x = k*d - 1"):
+        kmax = 2**53 // ds[0]
+        x = data.draw(st.one_of(st.integers(1, kmax), st.just(kmax)), label="k") * ds[0] - 1
+    for d in (np.array(ds, dtype=np.int64), np.array(ds, dtype=np.float64)):
+        q = _quotient(x, d)
+        assert q.dtype == np.float64
+        assert q.tolist() == [x // v for v in ds]
+        assert (x - d * q).tolist() == [x % v for v in ds]
+
+
+def test_fast_near_float_quotient_limit(monkeypatch):
+    # x // d runs through float64 below 2**53 and in integers from 2**53 on;
+    # a = 3, alpha = 0 has int64 chunks past the first, and in chunks of 97
+    # so do the others
+    cases = [(x, DivisorSpec(a, alpha)) for x in (2**53 - 1, 2**53, 2**53 + 1)
+             for a, alpha in ((3, 0), (4, 1), (4, 2))]
+    want = [loop_reference(x, spec) for x, spec in cases]
+    calls = []
+    quotient = s._quotient
+    monkeypatch.setattr(s, "_quotient", lambda x, d: calls.append(x) or quotient(x, d))
+    for chunk in (_FAST_CHUNK, 97):
+        monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+        calls.clear()
+        for (x, spec), w in zip(cases, want):
+            assert fast_fields(x, spec) == w, (chunk, x, spec)
+        assert set(calls) == {2**53 - 1}, chunk
+
+
+@pytest.mark.parametrize("chunk", (_FAST_CHUNK, 97))
+def test_float_fast_bit_equal_to_integer_quotient(monkeypatch, chunk):
+    monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+    xs = [1, 2, 17, 100, 300, 10**4 + 1, 10**6 + 3, 2**31 + 11, 10**9 + 7, 10**12 + 39,
+          2**53 - 1, 2**53, 2**53 + 1, 2**59 + 3, 2**63 - 25]
+    for a in (2, 3, 4):
+        for x in xs:
+            if integer_root(x, a) > (10**6 if chunk == _FAST_CHUNK else 3 * 10**5):
+                continue
+            for alpha in (0.0, 1.0, 0.5, 2.5):
+                b = summatory_fast(x, DivisorSpec(a, alpha))
+                got = (b.total, b._s_floor, b._s_pow, b._s_alpha)
+                assert got == float_fast_reference(x, DivisorSpec(a, alpha)), (a, x, alpha)
+
+
+@pytest.mark.parametrize("a", (2, 3))
+def test_fast_exact_high_alpha(a):
+    # alpha + a past bernoulli.MAX_DEGREE: the power sums are summed term by
+    # term, below it they come from the closed form; neither is refused
+    for alpha in range(60, 71):
+        spec = DivisorSpec(a, alpha)
+        for x in (1, 2**a - 1, 2**a, 10**6 + 3):
+            assert fast_fields(x, spec) == loop_reference(x, spec), (alpha, x)
+        b = summatory_fast(10**6 + 3, spec)
+        assert b.term_main == (10**6 + 3) * sum(d ** (alpha - 1) for d in range(1, b.cutoff + 1))
