@@ -166,15 +166,12 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     """Double-precision sum over lo <= d <= hi: one numpy sum of
-    B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
-
-    B_j runs by Horner's rule in place, the same operations as np.polyval.
-    """
+    polyval(B_j, {x/d}) * d**alpha per chunk, the chunk sums added in order."""
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
     total = 0.0
     for d in summatory._d_chunks(lo, hi, None):
         w = d.astype(np.float64)  # d, then d**alpha in place
-        p = 1.0  # B_0 = 1 needs no {x/d}
+        frac = 0.0  # B_0 = 1 needs no {x/d}
         if j:
             if not isinstance(x, int):
                 frac = np.modf(float(x) / w)[0]
@@ -185,12 +182,8 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
                 frac /= w
             else:
                 frac = summatory._mod(x, d) / d
-            p = np.full_like(frac, coeffs[0])
-            for c in coeffs[1:]:
-                p *= frac
-                p += c
         w **= float(alpha)
-        w *= p
+        w *= np.polyval(coeffs, frac)
         total += float(np.sum(w))
     return total
 

@@ -119,13 +119,10 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
-    # exact power sums come from their closed form up to the Bernoulli degree
-    # cap; past it they stay in the chunk loop, a product and a sum a chunk
-    closed = spec.exact and alpha + a <= MAX_DEGREE
     num = int if spec.exact else float
     s_floor = s_pow = s_alpha = num(0)
     float_quotient = x < 2**53
-    for d in _d_chunks(1, cut, _fast_term_bound if spec.exact else None, x, a, alpha):
+    for d in _d_chunks(1, cut, _fast_term_bound if spec.exact else None, x, alpha):
         if spec.exact:
             w = d**alpha
             q = _quotient(x, d).astype(np.int64) if float_quotient and d.dtype != object else x // d
@@ -133,12 +130,11 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             w = d.astype(np.float64)  # d, then d**alpha in place
             q = _quotient(x, w) if float_quotient else (x // d).astype(np.float64)
             w **= alpha
+            s_pow += float((w * d ** (a - 1)).sum())
+            s_alpha += float(w.sum())
         q *= w
         s_floor += num(q.sum())
-        if not closed:
-            s_pow += num((w * d ** (a - 1)).sum())
-            s_alpha += num(w.sum())
-    if closed:
+    if spec.exact:
         s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
 
@@ -197,11 +193,11 @@ def _mod(x: int, d: np.ndarray) -> np.ndarray:
     return x % d if x < 2**63 else (x % d.astype(object)).astype(d.dtype)
 
 
-def _fast_term_bound(lo: int, hi: int, x: int, a: int, alpha: int) -> int:
-    # d^alpha * floor(x/d) <= x * hi^(alpha-1), or x // lo at alpha = 0;
-    # d^(alpha+a-1) <= hi^(alpha+a-1), which also bounds d^alpha and d^(a-1);
-    # x // d needs x itself in int64, so at x >= 2**63 no chunk passes
-    top = max(x * hi ** (alpha - 1) if alpha >= 1 else x // lo, hi ** (alpha + a - 1))
+def _fast_term_bound(lo: int, hi: int, x: int, alpha: int) -> int:
+    # d^alpha * floor(x/d) <= x * hi^(alpha-1), or x // lo at alpha = 0, which
+    # also bounds d^alpha as hi <= x; x // d needs x itself in int64, so at
+    # x >= 2**63 no chunk passes
+    top = x * hi ** (alpha - 1) if alpha >= 1 else x // lo
     return top if x < 2**63 else x
 
 

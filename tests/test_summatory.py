@@ -213,7 +213,7 @@ def test_fast_chunk_boundaries(monkeypatch):
     want = [fast_fields(x, spec) for x, spec in cases]
     monkeypatch.setattr(s, "_FAST_CHUNK", p)
     # cutoff 10**5 in chunks of 97: early chunks pass the int64 bound, later ones do not
-    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_term_bound, 10**10, 2, 3)}
+    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_term_bound, 10**10, 3)}
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for (x, spec), w in zip(cases, want):
         assert fast_fields(x, spec) == w == loop_reference(x, spec)
@@ -241,7 +241,7 @@ def test_fast_near_int64_limit(alpha):
 def test_fast_object_dtype_below_int64():
     # x < 2**63, but d^4 * floor(x/d) summed over a chunk would wrap int64
     x, spec = 10**10, DivisorSpec(2, 4)
-    assert next(_d_chunks(1, _FAST_CHUNK, _fast_term_bound, x, 2, 4)).dtype == object
+    assert next(_d_chunks(1, _FAST_CHUNK, _fast_term_bound, x, 4)).dtype == object
     assert fast_fields(x, spec) == loop_reference(x, spec)
 
 
