@@ -166,12 +166,16 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     """Double-precision sum over lo <= d <= hi: one numpy sum of
-    polyval(B_j, {x/d}) * d**alpha per chunk, the chunk sums added in order."""
+    B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
+
+    B_j runs by Horner's rule in place, the multiplies and adds of
+    np.polyval in its order; B_j is monic, so its first step 1.0 * t + c_1
+    is t + c_1.  The power is skipped at alpha = 0 and 1, where
+    pow(d, alpha) is exactly 1 and d."""
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
     total = 0.0
     for d in summatory._d_chunks(lo, hi, None):
         w = d.astype(np.float64)  # d, then d**alpha in place
-        frac = 0.0  # B_0 = 1 needs no {x/d}
         if j:
             if not isinstance(x, int):
                 frac = np.modf(float(x) / w)[0]
@@ -182,8 +186,17 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
                 frac /= w
             else:
                 frac = summatory._mod(x, d) / d
-        w **= float(alpha)
-        w *= np.polyval(coeffs, frac)
+            b = frac + coeffs[1]
+            for c in coeffs[2:]:
+                b *= frac
+                b += c
+        if alpha == 0:
+            total += float(np.sum(b)) if j else len(w)
+            continue
+        if alpha != 1:
+            w **= float(alpha)
+        if j:
+            w *= b
         total += float(np.sum(w))
     return total
 

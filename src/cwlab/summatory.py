@@ -18,9 +18,17 @@ Chowla-Walum components
 summatory_fast sums over d in the chunks of _d_chunks, shared with cw_sums:
 int64 where a per-chunk bound proves no sum can wrap, else object arrays.
 Below x = 2^53 the floor quotients of an int64 chunk come from a float64
-division and floor, exactly (see _quotient); from 2^53 on they are integer
-divisions.  In integer mode only sum d^alpha floor(x/d) runs over the
-chunks: the power sums sum d^m have a closed form in Bernoulli polynomials.
+division and floor, exactly (see _quotient), and x mod d = x - d*floor(x/d);
+from 2^53 on they are integer divisions.  The power sums sum d^m have a
+closed form in Bernoulli polynomials (_power_sum), so in integer mode only
+one sum runs over the chunks.  At alpha = 0 it is sum floor(x/d).  At
+alpha >= 1, d^alpha floor(x/d) = d^(alpha-1) (x - (x mod d)) gives
+
+    sum d^alpha floor(x/d) = x * sum d^(alpha-1) - sum d^(alpha-1) (x mod d),
+
+and every term of the last sum is below d^alpha <= D^alpha whatever x is,
+so its chunks stay int64 up to D^alpha * 2^14 < 2^63: at alpha = 1 always,
+at alpha = 2 up to D of about 2.37e7.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.
 """
@@ -41,7 +49,8 @@ BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
 _FAST_CHUNK = 1 << 14
 # work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
-# is linear, 1.1 s at alpha = 0 and 33 s on object chunks at alpha = 1 for 1e8
+# is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
+# at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks
 _FAST_CUTOFF_LIMIT = 10**9
 
 
@@ -119,23 +128,37 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
-    num = int if spec.exact else float
-    s_floor = s_pow = s_alpha = num(0)
-    float_quotient = x < 2**53
-    for d in _d_chunks(1, cut, _fast_term_bound if spec.exact else None, x, alpha):
-        if spec.exact:
-            w = d**alpha
-            q = _quotient(x, d).astype(np.int64) if float_quotient and d.dtype != object else x // d
-        else:
-            w = d.astype(np.float64)  # d, then d**alpha in place
-            q = _quotient(x, w) if float_quotient else (x // d).astype(np.float64)
-            w **= alpha
-            s_pow += float((w * d ** (a - 1)).sum())
-            s_alpha += float(w.sum())
-        q *= w
-        s_floor += num(q.sum())
     if spec.exact:
+        s = 0  # sum floor(x/d) at alpha = 0, else sum d^(alpha-1) * (x mod d)
+        for d in _d_chunks(1, cut, _fast_term_bound, x, alpha):
+            if x < 2**53 and d.dtype != object:
+                t = _quotient(x, d).astype(np.int64)
+                if alpha:
+                    t *= d
+                    np.subtract(x, t, out=t)
+            else:
+                t = _mod(x, d) if alpha else x // d
+            if alpha > 1:
+                t *= d if alpha == 2 else d ** (alpha - 1)
+            s += int(t.sum())
+        s_floor = x * _power_sum(cut, alpha - 1) - s if alpha else s
         s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
+    else:
+        s_floor = s_pow = s_alpha = 0.0
+        for d in _d_chunks(1, cut, None):
+            w = d.astype(np.float64)  # d, then d**alpha
+            q = _quotient(x, w) if x < 2**53 else (x // d).astype(np.float64)
+            p = w if a == 2 else (d ** (a - 1)).astype(np.float64)  # d^(a-1)
+            if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
+                s_alpha += len(w)
+            else:
+                if alpha != 1:  # pow(d, 1.0) = d
+                    w = w**alpha
+                p = p * w
+                q *= w
+                s_alpha += float(w.sum())
+            s_pow += float(p.sum())
+            s_floor += float(q.sum())
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
 
 
@@ -148,6 +171,8 @@ def _power_sum(n: int, m: int) -> int:
     (their recurrence grows faster than quadratically in the degree), so
     d^m is summed directly.
     """
+    if m == 0:
+        return n
     if m >= MAX_DEGREE:
         return sum(d**m for d in range(1, n + 1))
     den_c, c = _scaled_coefficients(m + 1)
@@ -194,11 +219,13 @@ def _mod(x: int, d: np.ndarray) -> np.ndarray:
 
 
 def _fast_term_bound(lo: int, hi: int, x: int, alpha: int) -> int:
-    # d^alpha * floor(x/d) <= x * hi^(alpha-1), or x // lo at alpha = 0, which
-    # also bounds d^alpha as hi <= x; x // d needs x itself in int64, so at
-    # x >= 2**63 no chunk passes
-    top = x * hi ** (alpha - 1) if alpha >= 1 else x // lo
-    return top if x < 2**63 else x
+    # alpha >= 1: 0 <= x mod d < d, so d^(alpha-1) * (x mod d) < d^alpha <= hi^alpha,
+    # and its factors are below that too, whatever x is (_mod brings x mod d
+    # into int64 from x >= 2**63).  alpha = 0: floor(x/d) <= x // lo, and
+    # x // d needs x itself in int64, so at x >= 2**63 no chunk passes
+    if alpha >= 1:
+        return hi**alpha
+    return x // lo if x < 2**63 else x
 
 
 def _fraction_sum(num, den) -> tuple[int, int]:

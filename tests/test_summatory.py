@@ -208,12 +208,14 @@ def test_fast_chunk_boundaries(monkeypatch):
     cases = [(c**2 + r, DivisorSpec(2, alpha)) for c in (p - 1, p, p + 1, 3 * p, 5 * p + 2)
              for r in (-1, 0, 1) for alpha in (0, 1, 2)]
     cases.append((10**10, DivisorSpec(2, 3)))
+    # cutoff 10**5 in chunks of 97: the int64 bound hi^5 * 97 < 2**63 holds up
+    # to hi of about 2,500, so early chunks are int64 and later ones object
+    cases.append((10**10, DivisorSpec(2, 5)))
     # alpha = 0: later chunks pass the term bound, so only x < 2**63 keeps them off int64
     cases.append((2**63 + 1, DivisorSpec(4, 0)))
     want = [fast_fields(x, spec) for x, spec in cases]
     monkeypatch.setattr(s, "_FAST_CHUNK", p)
-    # cutoff 10**5 in chunks of 97: early chunks pass the int64 bound, later ones do not
-    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_term_bound, 10**10, 3)}
+    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_term_bound, 10**10, 5)}
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for (x, spec), w in zip(cases, want):
         assert fast_fields(x, spec) == w == loop_reference(x, spec)
@@ -346,9 +348,9 @@ def test_quotient_is_floor_division(data):
 
 
 def test_fast_near_float_quotient_limit(monkeypatch):
-    # x // d runs through float64 below 2**53 and in integers from 2**53 on;
-    # a = 3, alpha = 0 has int64 chunks past the first, and in chunks of 97
-    # so do the others
+    # x // d and x mod d run through float64 below 2**53 and in integers from
+    # 2**53 on; a = 3, alpha = 0 has int64 chunks past the first, and the
+    # remainder sums of alpha = 1, 2 run on int64 chunks throughout
     cases = [(x, DivisorSpec(a, alpha)) for x in (2**53 - 1, 2**53, 2**53 + 1)
              for a, alpha in ((3, 0), (4, 1), (4, 2))]
     want = [loop_reference(x, spec) for x, spec in cases]
@@ -388,3 +390,65 @@ def test_fast_exact_high_alpha(a):
             assert fast_fields(x, spec) == loop_reference(x, spec), (alpha, x)
         b = summatory_fast(10**6 + 3, spec)
         assert b.term_main == (10**6 + 3) * sum(d ** (alpha - 1) for d in range(1, b.cutoff + 1))
+
+
+# x near each switch of the remainder form: x mod d by the float64 quotient
+# below 2**53, by integer x % d up to 2**63, through Python ints past it.
+# loop_reference needs a cutoff of at most about 2e5, so a = 2 stays below
+# 2**35, a = 3 reaches 2**53 and a = 4 reaches 2**64.
+_REMAINDER_ANCHORS = {2: (2**34,), 3: (2**34, 2**53), 4: (2**53, 2**63, 2**64)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fast_remainder_form_near_switches(data):
+    a = data.draw(st.sampled_from((2, 3, 4)), label="a")
+    anchor = data.draw(st.sampled_from(_REMAINDER_ANCHORS[a]), label="anchor")
+    x = anchor + data.draw(st.integers(-2**12, 2**12), label="offset")
+    spec = DivisorSpec(a, data.draw(st.integers(1, 3), label="alpha"))
+    want = loop_reference(x, spec)
+    for chunk in (_FAST_CHUNK, 97):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(s, "_FAST_CHUNK", chunk)
+            assert fast_fields(x, spec) == want, chunk
+
+
+def _chunk_dtypes(monkeypatch):
+    seen = []
+    chunks = s._d_chunks
+
+    def recording(*args):
+        for d in chunks(*args):
+            seen.append(d.dtype)
+            yield d
+
+    monkeypatch.setattr(s, "_d_chunks", recording)
+    return seen
+
+
+def test_fast_remainder_form_stays_int64(monkeypatch):
+    # every term d^(alpha-1) * (x mod d) is below hi^alpha, whatever x is, so
+    # these sums run on int64 chunks only; the quotient form
+    # d^alpha * floor(x/d) needed object chunks here (the pinned values are
+    # its output)
+    seen = _chunk_dtypes(monkeypatch)
+    for x, alpha, total, s_floor in (
+        (10**15, 1, 21081850817857931440746, 31622775750068736801346),
+        (10**14, 2, 2500000166775227865588729498, 5000000333441869532253729498),
+    ):
+        seen.clear()
+        b = summatory_fast(x, DivisorSpec(2, alpha))
+        assert (b.total, b._s_floor) == (total, s_floor)
+        assert seen and set(seen) == {np.dtype(np.int64)}, (x, alpha)
+
+
+def test_fast_remainder_form_object_chunks(monkeypatch):
+    # alpha = 3: a full chunk of 2**14 has hi^3 * 2**14 past 2**63 from hi of
+    # about 82,500, so a cutoff of 10**5 (a = 2) or 2.1e5 (a = 3) runs int64
+    # chunks first and object chunks after them
+    seen = _chunk_dtypes(monkeypatch)
+    for x, a in ((10**10 + 7, 2), (2**53 + 10**10, 3)):
+        spec = DivisorSpec(a, 3)
+        seen.clear()
+        assert fast_fields(x, spec) == loop_reference(x, spec)
+        assert seen[:5] == [np.dtype(np.int64)] * 5 and np.dtype(object) in seen, x
