@@ -149,14 +149,12 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             w = d.astype(np.float64)  # d, then d**alpha
             q = _quotient(x, w) if x < 2**53 else (x // d).astype(np.float64)
             p = w if a == 2 else (d ** (a - 1)).astype(np.float64)  # d^(a-1)
-            if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
-                s_alpha += len(w)
-            else:
+            if alpha != 0:  # pow(d, 0.0) = 1: every weight is 1
                 if alpha != 1:  # pow(d, 1.0) = d
                     w = w**alpha
                 p = p * w
                 q *= w
-                s_alpha += float(w.sum())
+            s_alpha += float(w.sum()) if alpha else len(w)
             s_pow += float(p.sum())
             s_floor += float(q.sum())
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
