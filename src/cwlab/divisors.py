@@ -150,18 +150,58 @@ def _sieve_entry_bound(x: int, root: int, alpha: int) -> int:
     return root**alpha * 2 * (isqrt(x) + 1)
 
 
+# _sieve_into's tiers: divisors up to _WHEEL_D add one pattern of period
+# _WHEEL = lcm(1..12); divisors up to _BLOCK_D sweep sub-blocks of _BLOCK
+# entries (8 * 2**17 bytes = 1 MB, within a 2 MB per-core L2 cache).
+_WHEEL_D, _WHEEL = 12, 27720
+_BLOCK_D, _BLOCK = 256, 1 << 17
+
+
 def _sieve_into(arr: np.ndarray, lo: int, spec: DivisorSpec, root: int) -> np.ndarray:
     """Add sigma_{a,alpha}(n) into arr[n - lo] for n in [lo, lo + len(arr)), in place; return arr.
 
     Adds d**alpha at every n = d*k in range with k >= d**(a-1), for d <= root.
-    The caller zeroes arr and guards int64 magnitudes in integer mode.
+    The caller zeroes arr (contiguous) and guards int64 magnitudes in integer mode.
+
+    A strided add that leaves the cache costs ten or more times a contiguous one, so
+    the divisors run in three tiers:
+      1. d <= _WHEEL_D: from n = _WHEEL_D**a on every such d divides n with
+         k >= d**(a-1), so their adds repeat with period _WHEEL.  One pattern,
+         built aligned to the wheel's first entry, is added a period at a
+         time through a (rows, _WHEEL) view, when the range holds a whole
+         period; the entries below _WHEEL_D**a take one pass per d.
+      2. _WHEEL_D < d <= _BLOCK_D: the passes sweep one sub-block of _BLOCK
+         entries at a time, all d before the next block.
+      3. d > _BLOCK_D: one pass over the whole range per d.
+    Each entry still receives its adds in ascending d, starting from 0: the
+    pattern sums its weights in ascending d from 0, and 0 + p = p.  So float
+    tables are bit-for-bit those of one pass per d, not only the exact ones.
     """
-    hi = lo + len(arr)
-    for d in range(1, root + 1):
-        if d**spec.a >= hi:
-            break
-        start = max(d**spec.a, -(-lo // d) * d)
-        arr[start - lo :: d] += d**spec.alpha if spec.exact else float(d) ** spec.alpha
+    a, alpha, hi = spec.a, spec.alpha, lo + len(arr)  # int ** float is float(int) ** float
+
+    def passes(ds, b0, b1):  # d**alpha at the multiples of each d in [max(b0, d**a), b1)
+        for d in ds:
+            if d**a >= b1:
+                break
+            view = arr[max(d**a, -(-b0 // d) * d) - lo : b1 - lo : d]
+            view += d**alpha  # in place: `arr[...] += w` would also assign the view back
+
+    small = range(1, min(root, _WHEEL_D) + 1)
+    n0 = max(lo, _WHEEL_D**a)
+    rows = (hi - n0) // _WHEEL
+    passes(small, lo, n0 if rows > 0 else hi)
+    if rows > 0:
+        pattern = np.zeros(_WHEEL, dtype=arr.dtype)
+        for d in small:
+            pattern[-n0 % d :: d] += d**alpha
+        body = arr[n0 - lo : n0 - lo + rows * _WHEEL].reshape(rows, _WHEEL, copy=False)
+        body += pattern
+        arr[n0 - lo + rows * _WHEEL :] += pattern[: (hi - n0) % _WHEEL]
+    if root > _WHEEL_D:
+        middle = range(_WHEEL_D + 1, min(root, _BLOCK_D) + 1)
+        for b0 in range(lo, hi, _BLOCK):
+            passes(middle, b0, min(b0 + _BLOCK, hi))
+        passes(range(_BLOCK_D + 1, root + 1), lo, hi)
     return arr
 
 

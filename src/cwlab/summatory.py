@@ -3,7 +3,11 @@
 summatory_bruteforce enumerates every divisor pair n = d*k with
 k >= d**(a-1) and accumulates d^alpha per pair (vectorized, chunked, cost
 O(x log x)); its table form sieves chunk by chunk into its one output
-array and turns that into cumulative sums in place.  summatory_fast needs
+array and turns that into cumulative sums in place.  Both run the one
+sieve kernel, divisors._sieve_into, whose adds stay in cache: d <= 12 add
+one pattern of period lcm(1..12) = 27720, d <= 256 sweep 2**17-entry
+sub-blocks, and each entry still gets its adds in ascending d, so float
+tables are bit-for-bit those of one pass per d.  summatory_fast needs
 only O(x^(1/a)) terms: interchanging the summations gives
 
     sum_{n <= x} sigma_{a,alpha}(n)
@@ -141,8 +145,12 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             if alpha > 1:
                 t *= d if alpha == 2 else d ** (alpha - 1)
             s += int(t.sum())
-        s_floor = x * _power_sum(cut, alpha - 1) - s if alpha else s
-        s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
+        if alpha >= MAX_DEGREE:  # two or three degrees past the closed form
+            s_lower, s_alpha, s_pow = _term_power_sums(cut, alpha, a)
+            s_floor = x * s_lower - s
+        else:
+            s_floor = x * _power_sum(cut, alpha - 1) - s if alpha else s
+            s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
     else:
         s_floor = s_pow = s_alpha = 0.0
         for d in _d_chunks(1, cut, None):
@@ -167,7 +175,8 @@ def _power_sum(n: int, m: int) -> int:
     integer-scaled coefficients, so the cost does not grow with n.  Past
     bernoulli.MAX_DEGREE the coefficients would cost more than the terms
     (their recurrence grows faster than quadratically in the degree), so
-    d^m is summed directly.
+    d^m is summed directly (summatory_fast takes its two or three degrees
+    past it from _term_power_sums, in one pass).
     """
     if m == 0:
         return n
@@ -178,6 +187,24 @@ def _power_sum(n: int, m: int) -> int:
     for ck in reversed(c):
         acc = acc * (n + 1) + ck
     return (acc - sum(c)) // (den_c * (m + 1))
+
+
+def _term_power_sums(n: int, alpha: int, a: int) -> tuple[int, int, int]:
+    """sum_{d <= n} d^m for m = alpha - 1, alpha and alpha + a - 1 (alpha >= 1), in one pass.
+
+    For summatory_fast at alpha >= bernoulli.MAX_DEGREE, where _power_sum
+    would sum two or three of the degrees term by term: here each d costs
+    one power of degree alpha - 1 and a few multiplies, not two or three
+    powers of degree 64 or more.
+    """
+    lower = mid = top = 0
+    for d in range(1, n + 1):
+        t = d ** (alpha - 1)
+        lower += t
+        t *= d
+        mid += t
+        top += t * d ** (a - 1)
+    return lower, mid, top
 
 
 def _quotient(x: int, d: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cwlab import invariants
+from cwlab import divisors, invariants, summatory
 from cwlab.divisors import (
     _TRIAL_DIVISION_LIMIT,
     DivisorSpec,
@@ -17,6 +17,7 @@ from cwlab.divisors import (
     tau_table,
     tau_tilde_via_identity,
 )
+from cwlab.summatory import summatory_bruteforce, summatory_bruteforce_table
 
 
 def test_spec_validation():
@@ -151,3 +152,45 @@ def test_divisors_work_budget():
         for fn in (tau, lambda n: sigma_alpha(n, 1), lambda n: divisor_sum_restricted(n, DivisorSpec(2, 1))):
             with pytest.raises(ValueError, match="work budget"):
                 fn(n)
+
+
+def _one_pass_sieve_into(arr, lo, spec, root):
+    # the kernel before its tiers: one pass over the whole range per d
+    hi = lo + len(arr)
+    for d in range(1, root + 1):
+        if d**spec.a >= hi:
+            break
+        start = max(d**spec.a, -(-lo // d) * d)
+        arr[start - lo :: d] += d**spec.alpha if spec.exact else float(d) ** spec.alpha
+    return arr
+
+
+def _sieve_callers(limit, spec):
+    return (restricted_sigma_table(limit, spec), summatory_bruteforce_table(limit, spec),
+            summatory_bruteforce(limit, spec))
+
+
+@pytest.mark.parametrize("a", (2, 3, 4))
+@pytest.mark.parametrize("alpha", (0, 1, 2, 0.5, 2.0))
+def test_sieve_tiers_match_one_pass(monkeypatch, a, alpha):
+    # limits at each tier's edge: the wheel's start w = 12**a, its first
+    # whole period (limit w + 27719 is the first that holds all of
+    # [w, w + 27720)), multiples of the period and one 2**17 block; every
+    # table must equal the one-pass kernel's with ==, floats too
+    spec, w = DivisorSpec(a, alpha), 12**a
+    grid = [(None, None, (w - 1, w + 1, w + 27718, w + 27719, 27719, 27721, 55439, 55441,
+                          2**17 - 1, 2**17 + 1)),
+            # sub-blocks and chunks that start at arbitrary n
+            (97, 7_919, (w - 1, w + 1, w + 27718, w + 27719))]
+    for block, chunk, limits in grid:
+        if block:
+            monkeypatch.setattr(divisors, "_BLOCK", block)
+            monkeypatch.setattr(summatory, "_CHUNK", chunk)
+        for limit in limits:
+            got = _sieve_callers(limit, spec)
+            with monkeypatch.context() as m:
+                m.setattr(divisors, "_sieve_into", _one_pass_sieve_into)
+                m.setattr(summatory, "_sieve_into", _one_pass_sieve_into)
+                want = _sieve_callers(limit, spec)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), (limit, block)
+            assert got[2] == want[2] and type(got[2]) is type(want[2]), (limit, block)

@@ -6,17 +6,30 @@ quotients below, integer divisions from there on) and 2^63 (int64 quotients
 below), cutoffs across one and several chunks, alpha 0..3 and negative
 alpha at j = 0.  A kernel rewrite that changes any exact output changes the
 hash.  Values are hashed as hex integers and hex numerator/denominator pairs.
+
+A second SHA-256 covers the tables of the three sieve callers
+(restricted_sigma_table, summatory_bruteforce_table, summatory_bruteforce),
+exact and float, at limits across the sieve kernel's tiers: the wheel's
+start 12**a and first whole period of 27720, its multiples, 2**17-entry
+blocks, and chunks that start off the wheel's phase.  Tables are hashed as
+little-endian int64 / float64 bytes, scalar totals as hex ints / float.hex,
+so float tables must match bit for bit too.
 """
 
 import hashlib
 from fractions import Fraction
 
+import numpy as np
+
+from cwlab import summatory
 from cwlab.cw_sums import GSumSpec, block_g, g_sum
-from cwlab.divisors import DivisorSpec
-from cwlab.summatory import summatory_fast
+from cwlab.divisors import DivisorSpec, restricted_sigma_table
+from cwlab.summatory import summatory_bruteforce, summatory_bruteforce_table, summatory_fast
 
 EXACT_SHA256 = "41eaac3a89817df7c2a099256084f0dc333dddd08e9485e292947520a71c081a"
 EXACT_ITEMS = 2046
+TABLE_SHA256 = "da42a936f00a3a76d95300054109eb703fd71d0df727c05fc12f5a62a656a57c"
+TABLE_ITEMS = 660
 
 XS = (0, 1, 2, 17, 100, 300, 10**4 + 1, 10**6 + 3, 2**31 + 11, 10**9 + 7, 10**12 + 39,
       2**53 - 1, 2**53, 2**53 + 1, 2**59 + 3, 2**63 - 25, 2**63 + 5, 2**64 + 7)
@@ -60,3 +73,35 @@ def test_exact_outputs_hash():
         h.update(_enc(item).encode())
         count += 1
     assert (h.hexdigest(), count) == (EXACT_SHA256, EXACT_ITEMS)
+
+
+def table_items(monkeypatch):
+    p = 27720  # lcm(1..12), the sieve's wheel period
+    for a in (2, 3, 4):
+        w = 12**a
+        for alpha in (0, 1, 2, 0.5, 2.0):
+            spec = DivisorSpec(a, alpha)
+            for limit in (1, 2, 3, w - 1, w, w + 1, w + p - 1, w + p, w + p + 1, 2 * p + 1,
+                          2**17 - 1, 2**17 + 1, 5 * p + 11, 2**18 + 3):
+                yield restricted_sigma_table(limit, spec)
+                yield summatory_bruteforce_table(limit, spec)
+                yield summatory_bruteforce(limit, spec)
+            # chunks that start off the wheel's phase and hold whole periods
+            with monkeypatch.context() as m:
+                m.setattr(summatory, "_CHUNK", 3 * p + 7)
+                yield summatory_bruteforce_table(2**18 + 3, spec)
+                yield summatory_bruteforce(2**18 + 3, spec)
+
+
+def _table_bytes(v) -> bytes:
+    if isinstance(v, np.ndarray):
+        return v.astype("<i8" if v.dtype == np.int64 else "<f8").tobytes()
+    return (f"{v:x}" if isinstance(v, int) else float.hex(v)).encode()
+
+
+def test_sieve_tables_hash(monkeypatch):
+    h, count = hashlib.sha256(), 0
+    for item in table_items(monkeypatch):
+        h.update(_table_bytes(item))
+        count += 1
+    assert (h.hexdigest(), count) == (TABLE_SHA256, TABLE_ITEMS)
