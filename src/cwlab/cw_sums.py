@@ -14,13 +14,18 @@ whose nodes keep the lcm of their denominators, and one more tree sums the
 chunk sums.  One Fraction is formed at the end, so cancellation-prone values
 are never touched by rounding.  Exact shifted psi block sums run the same
 tree over their N exact psi values.
-Float mode is a double-precision pass over the same chunks of d (int64 for
-every x), within the summatory_fast work budget: with integer x the
-fractional parts {x/d} = r/d come from the exact remainder r = x mod d,
-which keeps the sawtooth accurate even when x/d is far above 2^53 * ulp
-territory.  Below x = 2^53, r = x - d*q with the float64 quotient
-q = summatory._quotient(x, d), which is exact; from 2^53 on r is an
-integer remainder.
+Float mode is a double-precision pass over the same chunks of d, within
+the summatory_fast work budget, building no array per chunk: every
+intermediate is written into two or three float64 rows allocated once per
+call.  Below d = 2^53, and with integer x below 2^53, the chunks of d are
+exact float64 views (summatory._d_chunks with as_float, whose exactness the
+summatory module docstring proves); elsewhere they are int64 and copied
+into a float row.  With integer x the fractional parts {x/d} = r/d come
+from the exact remainder r = x mod d, which keeps the sawtooth accurate
+even when x/d is far above 2^53 * ulp territory.  Below x = 2^53,
+r = x - d*q with the float64 quotient q = summatory._quotient(x, d), which
+is exact (d*q <= x and x - d*q are integers below 2^53); from 2^53 on r is
+an integer remainder.
 
 The cutoff D = floor(x^(1/a)) is always decided in integer or extended
 precision arithmetic: integer a compares d**a <= x exactly, rational a = p/q
@@ -168,25 +173,42 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     """Double-precision sum over lo <= d <= hi: one numpy sum of
     B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
 
-    B_j runs by Horner's rule in place, the multiplies and adds of
-    np.polyval in its order; B_j is monic, so its first step 1.0 * t + c_1
-    is t + c_1.  The power is skipped at alpha = 0 and 1, where
-    pow(d, alpha) is exactly 1 and d."""
+    Every step writes into float64 rows of min(hi - lo + 1, 2^14) entries,
+    allocated once per call: {x/d}, B_j({x/d}) (then times d**alpha) and,
+    unless d itself serves, d then d**alpha in place.  d comes as float64
+    from summatory._d_chunks below d = 2^53, and with integer x below 2^53,
+    else as int64.  B_j runs by Horner's rule in place, the multiplies and
+    adds of np.polyval in its order; B_j is monic, so its first step
+    1.0 * t + c_1 is t + c_1.  The power is skipped at alpha = 0 and 1,
+    where pow(d, alpha) is exactly 1 and d."""
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
+    exact_x = isinstance(x, int)
+    as_float = hi < 2**53 and not (exact_x and x >= 2**53)
+    n = max(min(hi - lo + 1, summatory._FAST_CHUNK), 0)
+    frac_row, b_row = np.empty(n), np.empty(n)
+    # float d, then d**alpha in place: d itself at alpha 0 and 1, else a row of its own
+    w_row = None if as_float and alpha in (0, 1) else np.empty(n)
     total = 0.0
-    for d in summatory._d_chunks(lo, hi, None):
-        w = d.astype(np.float64)  # d, then d**alpha in place
+    for d in summatory._d_chunks(lo, hi, None, as_float=as_float):
+        n = len(d)
+        frac, b = frac_row[:n], b_row[:n]  # {x/d}, then B_j({x/d}) and times d**alpha
+        if w_row is None:
+            w = d
+        else:
+            w = w_row[:n]
+            np.copyto(w, d)
         if j:
-            if not isinstance(x, int):
-                frac = np.modf(float(x) / w)[0]
-            elif x < 2**53:
-                frac = summatory._quotient(x, w)
+            if not exact_x:
+                np.divide(float(x), w, out=frac)
+                np.modf(frac, out=(frac, b))
+            elif as_float:
+                summatory._quotient(x, w, out=frac)
                 frac *= w
                 np.subtract(x, frac, out=frac)
                 frac /= w
             else:
-                frac = summatory._mod(x, d) / d
-            b = frac + coeffs[1]
+                np.divide(summatory._mod(x, d), w, out=frac)
+            np.add(frac, coeffs[1], out=b)
             for c in coeffs[2:]:
                 b *= frac
                 b += c
@@ -196,8 +218,8 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
         if alpha != 1:
             w **= float(alpha)
         if j:
-            w *= b
-        total += float(np.sum(w))
+            b *= w
+        total += float(np.sum(b if j else w))
     return total
 
 

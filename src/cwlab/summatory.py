@@ -21,18 +21,34 @@ Chowla-Walum components
 
 summatory_fast sums over d in the chunks of _d_chunks, shared with cw_sums:
 int64 where a per-chunk bound proves no sum can wrap, else object arrays.
-Below x = 2^53 the floor quotients of an int64 chunk come from a float64
-division and floor, exactly (see _quotient), and x mod d = x - d*floor(x/d);
-from 2^53 on they are integer divisions.  The power sums sum d^m have a
-closed form in Bernoulli polynomials (_power_sum), so in integer mode only
-one sum runs over the chunks.  At alpha = 0 it is sum floor(x/d).  At
-alpha >= 1, d^alpha floor(x/d) = d^(alpha-1) (x - (x mod d)) gives
+Below x = 2^53 the floor quotients come from a float64 division and floor,
+exactly (see _quotient), and x mod d = x - d*floor(x/d); from 2^53 on they
+are integer divisions.  The power sums sum d^m have a closed form in
+Bernoulli polynomials (_power_sum), so in integer mode only one sum runs
+over the chunks.  At alpha = 0 it is sum floor(x/d).  At alpha >= 1,
+d^alpha floor(x/d) = d^(alpha-1) (x - (x mod d)) gives
 
     sum d^alpha floor(x/d) = x * sum d^(alpha-1) - sum d^(alpha-1) (x mod d),
 
 and every term of the last sum is below d^alpha <= D^alpha whatever x is,
 so its chunks stay int64 up to D^alpha * 2^14 < 2^63: at alpha = 1 always,
 at alpha = 2 up to D of about 2.37e7.
+
+The chunk kernels below x = 2^53 (exact alpha 0 and 1, float mode, and
+float G in cw_sums) take d as float64 and build no array per chunk.
+_d_chunks(..., as_float=True) gives d as a read-only slice of
+_BASE = 0, 1, ..., 2^14 in float64 or, past it, as _BASE[:n] + start
+written into one row: both addends and the sum are integers below 2^53, so
+d is exact, with no int64 arange and no cast.  Every other intermediate is
+written with out= into a few float64 rows of min(range, _FAST_CHUNK)
+entries, the workspace, allocated once per call, so a tiny call allocates
+a few hundred bytes.  Exact sums stay exact in float64: a float sum of
+nonnegative integers is exact while its total is below 2^53, since every
+partial sum is an integer no larger than the total.  At alpha = 1 every
+x mod d is below d <= D < 2^27, so a chunk of at most 2^14 sums below 2^41.
+At alpha = 0 the n quotients of a chunk from d = start on are at most
+floor(x/start), so its float sum is taken where floor(x/start) * n < 2^53,
+and an int64 sum, under _fast_term_bound's bound, where not.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.
 """
@@ -52,6 +68,10 @@ from .divisors import DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
 _FAST_CHUNK = 1 << 14
+# float64 0, 1, ..., _FAST_CHUNK, read-only: a float d chunk (_d_chunks) is a
+# slice of it or _BASE[:n] + start
+_BASE = np.arange(_FAST_CHUNK + 1, dtype=np.float64)
+_BASE.flags.writeable = False
 # work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
 # is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
 # at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks
@@ -77,13 +97,15 @@ class SummatoryBreakdown:
     _s_floor: int | float = field(repr=False)
     _s_pow: int | float = field(repr=False)
     _s_alpha: int | float = field(repr=False)
+    # sum d^(alpha-1), kept where exact summatory_fast built it (alpha >= 1)
+    _s_lower: int | None = field(default=None, repr=False)
 
     @cached_property
     def _sum_alpha_minus_one(self):
+        if self._s_lower is not None:
+            return self._s_lower
         alpha, cut = self.spec.alpha, self.cutoff
-        if self.spec.exact:
-            if alpha >= 1:
-                return _power_sum(cut, alpha - 1)
+        if self.spec.exact:  # alpha = 0: the harmonic number H_cut
             nums, dens = [], []
             for d in _d_chunks(1, cut, None):
                 num, den = _fraction_sum(np.ones_like(d), d)
@@ -132,11 +154,20 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
+    s_lower = None
     if spec.exact:
         s = 0  # sum floor(x/d) at alpha = 0, else sum d^(alpha-1) * (x mod d)
-        for d in _d_chunks(1, cut, _fast_term_bound, x, alpha):
+        # below 2**53 the quotients go to one row, and at alpha 0 and 1 d and the
+        # chunk sums are float (module docstring)
+        q_row = np.empty(min(cut, _FAST_CHUNK)) if x < 2**53 else None
+        for d in _d_chunks(1, cut, _fast_term_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
             if x < 2**53 and d.dtype != object:
-                t = _quotient(x, d).astype(np.int64)
+                t = _quotient(x, d, out=q_row[: len(d)])
+                if alpha > 1:
+                    t = t.astype(np.int64)
+                elif not alpha and int(t[0]) * len(t) >= 2**53:  # floor(x/d) <= t[0]
+                    s += int(t.sum(dtype=np.int64))
+                    continue
                 if alpha:
                     t *= d
                     np.subtract(x, t, out=t)
@@ -147,25 +178,42 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             s += int(t.sum())
         if alpha >= MAX_DEGREE:  # two or three degrees past the closed form
             s_lower, s_alpha, s_pow = _term_power_sums(cut, alpha, a)
-            s_floor = x * s_lower - s
         else:
-            s_floor = x * _power_sum(cut, alpha - 1) - s if alpha else s
+            s_lower = _power_sum(cut, alpha - 1) if alpha else None
             s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
+        s_floor = x * s_lower - s if alpha else s
     else:
         s_floor = s_pow = s_alpha = 0.0
-        for d in _d_chunks(1, cut, None):
-            w = d.astype(np.float64)  # d, then d**alpha
-            q = _quotient(x, w) if x < 2**53 else (x // d).astype(np.float64)
-            p = w if a == 2 else (d ** (a - 1)).astype(np.float64)  # d^(a-1)
+        as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
+        n = min(cut, _FAST_CHUNK)
+        q_row, p_row = np.empty(n), np.empty(n)
+        # d^alpha in a row of its own, but at alpha 0 and 1 (weights 1 and d) d serves
+        w_row = None if as_float and alpha in (0, 1) else np.empty(n)
+        for d in _d_chunks(1, cut, None, as_float=as_float):
+            n = len(d)
+            q, p = q_row[:n], p_row[:n]  # floor(x/d) d^alpha and d^(alpha+a-1), as built
+            if w_row is None:
+                w = d
+            else:
+                w = w_row[:n]
+                np.copyto(w, d)
+            if as_float:
+                _quotient(x, d, out=q)
+                np.copyto(p, d)
+                for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
+                    p *= d
+            else:
+                np.copyto(q, x // d)
+                np.copyto(p, d ** (a - 1))
             if alpha != 0:  # pow(d, 0.0) = 1: every weight is 1
                 if alpha != 1:  # pow(d, 1.0) = d
-                    w = w**alpha
-                p = p * w
+                    w **= alpha
+                p *= w
                 q *= w
             s_alpha += float(w.sum()) if alpha else len(w)
             s_pow += float(p.sum())
             s_floor += float(q.sum())
-    return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha)
+    return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha, s_lower)
 
 
 def _power_sum(n: int, m: int) -> int:
@@ -207,7 +255,7 @@ def _term_power_sums(n: int, alpha: int, a: int) -> tuple[int, int, int]:
     return lower, mid, top
 
 
-def _quotient(x: int, d: np.ndarray) -> np.ndarray:
+def _quotient(x: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x // d as float64, for 0 <= x < 2**53 and a chunk of integers 1 <= d < 2**53.
 
     The chunk may be int64 or float64: its entries are exact floats either
@@ -217,30 +265,63 @@ def _quotient(x: int, d: np.ndarray) -> np.ndarray:
     (x/d) * 2**-53 < 1/d, so fl(x/d) < q + 1.  Then d * q <= x < 2**53 and
     x - d * q are exact too.  A float division and a floor cost less than
     half of an int64 x // d or x % d.  At x >= 2**53 only those are exact.
+    out, if given, receives the quotients.
     """
-    q = np.divide(float(x), d)
+    q = np.divide(float(x), d, out=out)
     return np.floor(q, out=q)
 
 
-def _d_chunks(lo: int, hi: int, term_bound, *args):
+def _d_chunks(lo: int, hi: int, term_bound, *args, as_float: bool = False):
     """d = lo..hi in numpy chunks of at most _FAST_CHUNK, refused past _FAST_CUTOFF_LIMIT terms.
 
     A chunk d = start..end is int64 when term_bound(start, end, *args), a bound on
     every integer term the caller sums over it, times its length is below 2**63,
     else a Python-int object array.  Callers that sum no integer term over d
-    in numpy (float sums, fraction trees on Python ints) pass None.
+    in numpy (float sums, fraction trees on Python ints) pass None.  With
+    as_float, for hi < 2**53, a chunk that would be int64 is float64 instead,
+    and read-only to the caller: the slice _BASE[start:end + 1] while end <
+    len(_BASE), past it _BASE[:n] + start written into one row of
+    min(hi - lo + 1, _FAST_CHUNK) entries, allocated once per loop.  No int64
+    arange and no cast is built.
     """
     if hi - lo + 1 > _FAST_CUTOFF_LIMIT:
         raise ValueError(f"{hi - lo + 1} terms exceed the work budget of {_FAST_CUTOFF_LIMIT} terms")
+    row = None
     for start in range(lo, hi + 1, _FAST_CHUNK):
         end = min(start + _FAST_CHUNK - 1, hi)
-        fits = term_bound is None or term_bound(start, end, *args) * (end - start + 1) < 2**63
-        yield np.arange(start, end + 1, dtype=np.int64 if fits else object)
+        n = end - start + 1
+        fits = term_bound is None or term_bound(start, end, *args) * n < 2**63
+        if not (fits and as_float):
+            yield np.arange(start, end + 1, dtype=np.int64 if fits else object)
+        elif end < len(_BASE):
+            yield _BASE[start : end + 1]
+        else:
+            if row is None:
+                row = np.empty(min(hi - lo + 1, _FAST_CHUNK))
+            yield np.add(_BASE[:n], start, out=row[:n])
 
 
 def _mod(x: int, d: np.ndarray) -> np.ndarray:
-    """x mod d in d's dtype: r < d fits it even where x does not."""
-    return x % d if x < 2**63 else (x % d.astype(object)).astype(d.dtype)
+    """x mod d in d's dtype: r < d fits it even where x does not.
+
+    From x = 2**63 on, an int64 chunk whose d are all below 2**31 reduces x by
+    its 32-bit limbs, most significant first, as r = ((r << 32) | limb) % d:
+    r < d < 2**31 before each step, so (r << 32) | limb < 2**63 stays in
+    int64.  Every chunk of summatory_fast qualifies, since its range starts at
+    1 and holds at most _FAST_CUTOFF_LIMIT = 10**9 < 2**31 terms.  Object
+    chunks, and int64 chunks of larger d (block ranges in cw_sums), take
+    Python ints.
+    """
+    if x < 2**63 or d.dtype == object:
+        return x % d
+    if d[-1] >= 2**31:
+        return (x % d.astype(object)).astype(d.dtype)
+    r = np.zeros_like(d)
+    for shift in range((x.bit_length() - 1) // 32 * 32, -1, -32):
+        r <<= 32
+        r |= (x >> shift) & 0xFFFFFFFF
+        r %= d
+    return r
 
 
 def _fast_term_bound(lo: int, hi: int, x: int, alpha: int) -> int:

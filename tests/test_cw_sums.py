@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -294,6 +295,15 @@ def test_float_kernel_bit_equal_to_integer_remainder(monkeypatch, chunk):
                 assert g_sum(spec) == float_reference_range_sum(x, alpha, j, 1, cut), (a, x, alpha, j)
                 lo, hi = 2**9 + 1, min(2**10, cut)
                 assert block_g(2**9, spec) == float_reference_range_sum(x, alpha, j, lo, hi)
+    # blocks of d across and past 2**53, where start + k would round an odd
+    # start first: d is an int64 chunk cast to float64 there, as in the reference
+    x = float((2**53 + 40) ** 2)
+    for n_start in (2**53 - 30, 2**53 + 2):
+        for alpha, j in ((0.0, 0), (1.0, 1), (0.5, 2)):
+            spec = GSumSpec(2, alpha, j, x)
+            lo, hi = n_start + 1, min(2 * n_start, spec.cutoff)
+            assert 2 < hi - lo < 100
+            assert block_g(n_start, spec) == float_reference_range_sum(x, alpha, j, lo, hi)
 
 
 def test_kernel_on_benchmark_inputs():
@@ -354,6 +364,23 @@ def test_float_work_budget():
         block_g(limit + 1, GSumSpec(2, 0.0, 1, 10**20))
     # the budget counts the block's terms, not the cutoff
     assert isinstance(block_g(2**16, GSumSpec(2, 0.0, 1, 10**20)), float)
+
+
+def test_float_g_sum_tiny_call_memory():
+    # the workspace is sized by the range, not by the chunk length: at cutoff
+    # 17, and for a 17-term block past 2**14, where d is written into a row
+    calls = [(g_sum, spec) for spec in (GSumSpec(2, 1.0, 2, 300), GSumSpec(2, 0.0, 1, 300),
+                                         GSumSpec(2, 2.5, 3, 300.5))]
+    calls.append((partial(block_g, 2**20), GSumSpec(2, 1.0, 2, (2**20 + 17) ** 2)))
+    for f, spec in calls:
+        f(spec)
+        tracemalloc.start()
+        try:
+            f(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10, (spec, peak)
 
 
 def test_float_g_sum_memory_bounded():

@@ -233,11 +233,30 @@ def test_fast_perfect_powers(a):
 
 
 @pytest.mark.parametrize("alpha", (0, 1, 2, 3))
-def test_fast_near_int64_limit(alpha):
-    # cutoff ~55k with a = 4; x >= 2**63 must take the object dtype
+def test_fast_near_int64_limit(monkeypatch, alpha):
+    # cutoffs 55k-100k with a = 4; x >= 2**63 must take the object dtype at
+    # alpha = 0, and x mod d comes from 32-bit limbs at alpha >= 1
     spec = DivisorSpec(4, alpha)
-    for x in (2**63 - 1, 2**63, 2**63 + 1):
-        assert fast_fields(x, spec) == loop_reference(x, spec)
+    for x in (2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64 + 7, 10**20 + 3):
+        want = loop_reference(x, spec)
+        for chunk in (_FAST_CHUNK, 97):
+            monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+            assert fast_fields(x, spec) == want, (x, chunk)
+
+
+def test_mod_by_limbs():
+    # x mod d from x = 2**63 on: 32-bit limbs in int64 for d < 2**31, Python
+    # ints for larger d and object chunks, against Python's %
+    rng = random.Random(83)
+    chunks = [np.arange(1, 300), np.arange(2**31 - 300, 2**31), np.arange(2**31 - 5, 2**31 + 5),
+              np.array([rng.randrange(1, 2**31) for _ in range(300)]),
+              np.arange(2**40, 2**40 + 50), np.arange(1, 300, dtype=object)]
+    for base in (2**63, 2**64, 10**20, 2**95, 10**40):
+        for x in (base - 1, base, base + 1, base + rng.randrange(2**40)):
+            for d in chunks:
+                d = np.sort(d)
+                r = s._mod(x, d)
+                assert r.dtype == d.dtype and r.tolist() == [x % v for v in d.tolist()], (x, d[-1])
 
 
 def test_fast_object_dtype_below_int64():
@@ -347,22 +366,44 @@ def test_quotient_is_floor_division(data):
         assert (x - d * q).tolist() == [x % v for v in ds]
 
 
+def _float_sum_edge(a, chunk):
+    # smallest x whose first alpha = 0 chunk has floor(x/1) * n >= 2**53, so
+    # that its quotients are summed in int64, not float64
+    lo, hi = 1, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * min(integer_root(mid, a), chunk) >= 2**53:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def test_fast_near_float_quotient_limit(monkeypatch):
     # x // d and x mod d run through float64 below 2**53 and in integers from
-    # 2**53 on; a = 3, alpha = 0 has int64 chunks past the first, and the
-    # remainder sums of alpha = 1, 2 run on int64 chunks throughout
+    # 2**53 on.  a = 3, alpha = 0 has an object first chunk at 2**53 - 1 in
+    # chunks of 2**14 and float chunks past it; in chunks of 97 the first is a
+    # float chunk whose quotients sum past 2**53, so they are summed in int64.
+    # alpha = 1 runs float chunks below 2**53 and int64 chunks from it on,
+    # alpha = 2 int64 chunks throughout
     cases = [(x, DivisorSpec(a, alpha)) for x in (2**53 - 1, 2**53, 2**53 + 1)
              for a, alpha in ((3, 0), (4, 1), (4, 2))]
+    # both sides of the float-sum bound of alpha = 0, for each chunk length
+    cases += [(x, DivisorSpec(3, 0)) for chunk in (_FAST_CHUNK, 97)
+              for x in (_float_sum_edge(3, chunk) - 1, _float_sum_edge(3, chunk))]
+    # cutoffs 2**14 - 1, 2**14 and 2**14 + 1: the workspace holds a whole
+    # range, one full chunk, or a full chunk and a chunk of one
+    cases += [(D**3, DivisorSpec(3, alpha)) for D in (2**14 - 1, 2**14, 2**14 + 1) for alpha in (0, 1)]
     want = [loop_reference(x, spec) for x, spec in cases]
     calls = []
     quotient = s._quotient
-    monkeypatch.setattr(s, "_quotient", lambda x, d: calls.append(x) or quotient(x, d))
+    monkeypatch.setattr(s, "_quotient", lambda x, d, **kw: calls.append(x) or quotient(x, d, **kw))
     for chunk in (_FAST_CHUNK, 97):
         monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
         calls.clear()
         for (x, spec), w in zip(cases, want):
             assert fast_fields(x, spec) == w, (chunk, x, spec)
-        assert set(calls) == {2**53 - 1}, chunk
+        assert set(calls) == {x for x, _ in cases if x < 2**53}, chunk
 
 
 @pytest.mark.parametrize("chunk", (_FAST_CHUNK, 97))
@@ -392,11 +433,12 @@ def test_fast_exact_high_alpha(a):
         assert b.term_main == (10**6 + 3) * sum(d ** (alpha - 1) for d in range(1, b.cutoff + 1))
 
 
-# x near each switch of the remainder form: x mod d by the float64 quotient
-# below 2**53, by integer x % d up to 2**63, through Python ints past it.
+# x near each switch of the remainder form: x mod d on float chunks (alpha
+# = 1) or by the float64 quotient below 2**53, by integer x % d up to 2**63,
+# by 32-bit limbs past it; 2**42 = (2**14)**3 puts the cutoff at one chunk.
 # loop_reference needs a cutoff of at most about 2e5, so a = 2 stays below
-# 2**35, a = 3 reaches 2**53 and a = 4 reaches 2**64.
-_REMAINDER_ANCHORS = {2: (2**34,), 3: (2**34, 2**53), 4: (2**53, 2**63, 2**64)}
+# 2**35, a = 3 reaches 2**53 and a = 4 reaches 10**20.
+_REMAINDER_ANCHORS = {2: (2**34,), 3: (2**34, 2**53, 2**42), 4: (2**53, 2**63, 2**64, 10**20)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -417,8 +459,8 @@ def _chunk_dtypes(monkeypatch):
     seen = []
     chunks = s._d_chunks
 
-    def recording(*args):
-        for d in chunks(*args):
+    def recording(*args, **kwargs):
+        for d in chunks(*args, **kwargs):
             seen.append(d.dtype)
             yield d
 
@@ -428,7 +470,8 @@ def _chunk_dtypes(monkeypatch):
 
 def test_fast_remainder_form_stays_int64(monkeypatch):
     # every term d^(alpha-1) * (x mod d) is below hi^alpha, whatever x is, so
-    # these sums run on int64 chunks only; the quotient form
+    # these sums never need object chunks: alpha = 1 below 2**53 runs on
+    # float64 chunks, alpha = 2 on int64 chunks; the quotient form
     # d^alpha * floor(x/d) needed object chunks here (the pinned values are
     # its output)
     seen = _chunk_dtypes(monkeypatch)
@@ -439,7 +482,40 @@ def test_fast_remainder_form_stays_int64(monkeypatch):
         seen.clear()
         b = summatory_fast(x, DivisorSpec(2, alpha))
         assert (b.total, b._s_floor) == (total, s_floor)
-        assert seen and set(seen) == {np.dtype(np.int64)}, (x, alpha)
+        assert seen and set(seen) == {np.dtype(np.float64) if alpha == 1 else np.dtype(np.int64)}, (x, alpha)
+
+
+def test_breakdown_keeps_power_sum(monkeypatch):
+    # term_main and term_psi read the sum d^(alpha-1) that exact
+    # summatory_fast built; past bernoulli.MAX_DEGREE a second sum would be
+    # another term-by-term pass over d
+    passes = []
+    power_sum, term_power_sums = s._power_sum, s._term_power_sums
+    monkeypatch.setattr(s, "_power_sum", lambda n, m: passes.append(m) or power_sum(n, m))
+    monkeypatch.setattr(s, "_term_power_sums", lambda *args: passes.append(args) or term_power_sums(*args))
+    x = 10**6 + 3
+    for alpha in (1, 2, 70):
+        b = summatory_fast(x, DivisorSpec(2, alpha))
+        passes.clear()
+        lower = sum(d ** (alpha - 1) for d in range(1, b.cutoff + 1))
+        assert b.term_main == x * lower
+        assert b.term_psi == -x * lower + b._s_floor + Fraction(b._s_alpha, 2)
+        assert passes == [], alpha
+
+
+def test_tiny_call_memory():
+    # the workspace is sized by the cutoff, not by _FAST_CHUNK: a call at
+    # cutoff 17 allocates a few hundred bytes, not three rows of 128 KiB
+    specs = [DivisorSpec(a, alpha) for a in (2, 3) for alpha in (0, 1, 2, 0.0, 1.0, 2.5)]
+    for spec in specs:
+        summatory_fast(300, spec)
+        tracemalloc.start()
+        try:
+            summatory_fast(300, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10, (spec, peak)
 
 
 def test_fast_remainder_form_object_chunks(monkeypatch):
