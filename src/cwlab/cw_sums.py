@@ -16,16 +16,16 @@ are never touched by rounding.  Exact shifted psi block sums run the same
 tree over their N exact psi values.
 Float mode is a double-precision pass over the same chunks of d, within
 the summatory_fast work budget, building no array per chunk: every
-intermediate is written into two or three float64 rows allocated once per
-call.  Below d = 2^53, and with integer x below 2^53, the chunks of d are
-exact float64 views (summatory._d_chunks with as_float, whose exactness the
-summatory module docstring proves); elsewhere they are int64 and copied
-into a float row.  With integer x the fractional parts {x/d} = r/d come
-from the exact remainder r = x mod d, which keeps the sawtooth accurate
-even when x/d is far above 2^53 * ulp territory.  Below x = 2^53,
-r = x - d*q with the float64 quotient q = summatory._quotient(x, d), which
-is exact (d*q <= x and x - d*q are integers below 2^53); from 2^53 on r is
-an integer remainder.
+intermediate is written into three float64 rows allocated once per call.
+Below d = 2^53, and with integer x below 2^53, the chunks of d are exact
+float64 views (summatory._d_chunks with as_float, whose exactness the
+summatory module docstring proves); elsewhere they are int64, and numpy
+casts them to float64 as it divides or copies them.  With integer x the
+fractional parts {x/d} = r/d come from the exact remainder r = x mod d,
+which keeps the sawtooth accurate even when x/d is far above 2^53 * ulp
+territory.  Below x = 2^53, r = x - d*q with the float64 quotient
+q = summatory._quotient(x, d), which is exact (d*q <= x and x - d*q are
+integers below 2^53); from 2^53 on r is an integer remainder.
 
 The cutoff D = floor(x^(1/a)) is always decided in integer or extended
 precision arithmetic: integer a compares d**a <= x exactly, rational a = p/q
@@ -174,8 +174,8 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
 
     Every step writes into float64 rows of min(hi - lo + 1, 2^14) entries,
-    allocated once per call: {x/d}, B_j({x/d}) (then times d**alpha) and,
-    unless d itself serves, d then d**alpha in place.  d comes as float64
+    allocated once per call: {x/d}, B_j({x/d}) (then times d**alpha) and
+    the weights d**alpha of summatory._float_weights.  d comes as float64
     from summatory._d_chunks below d = 2^53, and with integer x below 2^53,
     else as int64.  B_j runs by Horner's rule in place, the multiplies and
     adds of np.polyval in its order; B_j is monic, so its first step
@@ -185,38 +185,30 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     exact_x = isinstance(x, int)
     as_float = hi < 2**53 and not (exact_x and x >= 2**53)
     n = max(min(hi - lo + 1, summatory._FAST_CHUNK), 0)
-    frac_row, b_row = np.empty(n), np.empty(n)
-    # float d, then d**alpha in place: d itself at alpha 0 and 1, else a row of its own
-    w_row = None if as_float and alpha in (0, 1) else np.empty(n)
+    frac_row, b_row, w_row = np.empty(n), np.empty(n), np.empty(n)
     total = 0.0
     for d in summatory._d_chunks(lo, hi, None, as_float=as_float):
         n = len(d)
         frac, b = frac_row[:n], b_row[:n]  # {x/d}, then B_j({x/d}) and times d**alpha
-        if w_row is None:
-            w = d
-        else:
-            w = w_row[:n]
-            np.copyto(w, d)
         if j:
             if not exact_x:
-                np.divide(float(x), w, out=frac)
+                np.divide(float(x), d, out=frac)
                 np.modf(frac, out=(frac, b))
             elif as_float:
-                summatory._quotient(x, w, out=frac)
-                frac *= w
+                summatory._quotient(x, d, out=frac)
+                frac *= d
                 np.subtract(x, frac, out=frac)
-                frac /= w
+                frac /= d
             else:
-                np.divide(summatory._mod(x, d), w, out=frac)
+                np.divide(summatory._mod(x, d), d, out=frac)
             np.add(frac, coeffs[1], out=b)
             for c in coeffs[2:]:
                 b *= frac
                 b += c
         if alpha == 0:
-            total += float(np.sum(b)) if j else len(w)
+            total += float(np.sum(b)) if j else n
             continue
-        if alpha != 1:
-            w **= float(alpha)
+        w = summatory._float_weights(d, alpha, w_row)
         if j:
             b *= w
         total += float(np.sum(b if j else w))

@@ -36,19 +36,19 @@ at alpha = 2 up to D of about 2.37e7.
 
 The chunk kernels below x = 2^53 (exact alpha 0 and 1, float mode, and
 float G in cw_sums) take d as float64 and build no array per chunk.
-_d_chunks(..., as_float=True) gives d as a read-only slice of
-_BASE = 0, 1, ..., 2^14 in float64 or, past it, as _BASE[:n] + start
-written into one row: both addends and the sum are integers below 2^53, so
-d is exact, with no int64 arange and no cast.  Every other intermediate is
-written with out= into a few float64 rows of min(range, _FAST_CHUNK)
-entries, the workspace, allocated once per call, so a tiny call allocates
-a few hundred bytes.  Exact sums stay exact in float64: a float sum of
-nonnegative integers is exact while its total is below 2^53, since every
-partial sum is an integer no larger than the total.  At alpha = 1 every
-x mod d is below d <= D < 2^27, so a chunk of at most 2^14 sums below 2^41.
-At alpha = 0 the n quotients of a chunk from d = start on are at most
-floor(x/start), so its float sum is taken where floor(x/start) * n < 2^53,
-and an int64 sum, under _fast_term_bound's bound, where not.
+_d_chunks(..., as_float=True) gives d as a slice of _BASE = 0, 1, ..., 2^14
+in float64 or, past it, as _BASE[:n] + start written into one row: both
+addends and the sum are integers below 2^53, so d is exact, with no int64
+arange and no cast.  Either way the chunk is read-only: the float weights
+d^alpha come from _float_weights, d itself at alpha = 1, else raised in a
+row of the caller.  Every other intermediate is written with out= into a
+few float64 rows of min(range, _FAST_CHUNK) entries, the workspace,
+allocated once per call, so a tiny call allocates a few hundred bytes.
+Exact sums stay exact: at alpha = 1 every x mod d is below d <= D < 2^27,
+so a chunk of at most 2^14 sums below 2^41, and a float sum of nonnegative
+integers is exact while its total is below 2^53, since every partial sum
+is an integer no larger than the total.  At alpha = 0 the float quotients
+are summed in int64, exact under _fast_term_bound's bound.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.
 """
@@ -67,7 +67,7 @@ from .divisors import DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
-_FAST_CHUNK = 1 << 14
+_FAST_CHUNK = 1 << 14  # _BASE below must be longer than any chunk
 # float64 0, 1, ..., _FAST_CHUNK, read-only: a float d chunk (_d_chunks) is a
 # slice of it or _BASE[:n] + start
 _BASE = np.arange(_FAST_CHUNK + 1, dtype=np.float64)
@@ -157,20 +157,19 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     s_lower = None
     if spec.exact:
         s = 0  # sum floor(x/d) at alpha = 0, else sum d^(alpha-1) * (x mod d)
-        # below 2**53 the quotients go to one row, and at alpha 0 and 1 d and the
-        # chunk sums are float (module docstring)
+        # below 2**53 the quotients go to one row, and at alpha 0 and 1 d is
+        # float and, at alpha = 1, so are the chunk sums (module docstring)
         q_row = np.empty(min(cut, _FAST_CHUNK)) if x < 2**53 else None
         for d in _d_chunks(1, cut, _fast_term_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
             if x < 2**53 and d.dtype != object:
                 t = _quotient(x, d, out=q_row[: len(d)])
-                if alpha > 1:
-                    t = t.astype(np.int64)
-                elif not alpha and int(t[0]) * len(t) >= 2**53:  # floor(x/d) <= t[0]
+                if not alpha:
                     s += int(t.sum(dtype=np.int64))
                     continue
-                if alpha:
-                    t *= d
-                    np.subtract(x, t, out=t)
+                if alpha > 1:
+                    t = t.astype(np.int64)
+                t *= d
+                np.subtract(x, t, out=t)
             else:
                 t = _mod(x, d) if alpha else x // d
             if alpha > 1:
@@ -186,17 +185,10 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         s_floor = s_pow = s_alpha = 0.0
         as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
         n = min(cut, _FAST_CHUNK)
-        q_row, p_row = np.empty(n), np.empty(n)
-        # d^alpha in a row of its own, but at alpha 0 and 1 (weights 1 and d) d serves
-        w_row = None if as_float and alpha in (0, 1) else np.empty(n)
+        q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
         for d in _d_chunks(1, cut, None, as_float=as_float):
             n = len(d)
-            q, p = q_row[:n], p_row[:n]  # floor(x/d) d^alpha and d^(alpha+a-1), as built
-            if w_row is None:
-                w = d
-            else:
-                w = w_row[:n]
-                np.copyto(w, d)
+            q, p = q_row[:n], p_row[:n]  # floor(x/d) and d^(a-1), then times d^alpha
             if as_float:
                 _quotient(x, d, out=q)
                 np.copyto(p, d)
@@ -204,13 +196,14 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
                     p *= d
             else:
                 np.copyto(q, x // d)
-                np.copyto(p, d ** (a - 1))
-            if alpha != 0:  # pow(d, 0.0) = 1: every weight is 1
-                if alpha != 1:  # pow(d, 1.0) = d
-                    w **= alpha
+                np.copyto(p, d if a == 2 else d ** (a - 1))
+            if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
+                s_alpha += n
+            else:
+                w = _float_weights(d, alpha, w_row)
                 p *= w
                 q *= w
-            s_alpha += float(w.sum()) if alpha else len(w)
+                s_alpha += float(w.sum())
             s_pow += float(p.sum())
             s_floor += float(q.sum())
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha, s_lower)
@@ -278,8 +271,8 @@ def _d_chunks(lo: int, hi: int, term_bound, *args, as_float: bool = False):
     every integer term the caller sums over it, times its length is below 2**63,
     else a Python-int object array.  Callers that sum no integer term over d
     in numpy (float sums, fraction trees on Python ints) pass None.  With
-    as_float, for hi < 2**53, a chunk that would be int64 is float64 instead,
-    and read-only to the caller: the slice _BASE[start:end + 1] while end <
+    as_float, for hi < 2**53, a chunk that would be int64 is a read-only
+    float64 array instead: the slice _BASE[start:end + 1] while end <
     len(_BASE), past it _BASE[:n] + start written into one row of
     min(hi - lo + 1, _FAST_CHUNK) entries, allocated once per loop.  No int64
     arange and no cast is built.
@@ -298,7 +291,25 @@ def _d_chunks(lo: int, hi: int, term_bound, *args, as_float: bool = False):
         else:
             if row is None:
                 row = np.empty(min(hi - lo + 1, _FAST_CHUNK))
-            yield np.add(_BASE[:n], start, out=row[:n])
+            d = np.add(_BASE[:n], start, out=row[:n])
+            d.flags.writeable = False
+            yield d
+
+
+def _float_weights(d: np.ndarray, alpha, row: np.ndarray) -> np.ndarray:
+    """d**float(alpha) in float64 for a chunk d of _d_chunks, alpha != 0, not to be written.
+
+    A float chunk at alpha = 1 is its own weight; otherwise d is copied into
+    row[:len(d)] and raised there with **=, the operator of the float
+    references in the tests, so the weights match theirs bit for bit.
+    """
+    if alpha == 1 and d.dtype == np.float64:
+        return d
+    w = row[: len(d)]
+    np.copyto(w, d)
+    if alpha != 1:  # pow(d, 1.0) = d
+        w **= float(alpha)
+    return w
 
 
 def _mod(x: int, d: np.ndarray) -> np.ndarray:

@@ -263,6 +263,13 @@ def test_fast_object_dtype_below_int64():
     # x < 2**63, but d^4 * floor(x/d) summed over a chunk would wrap int64
     x, spec = 10**10, DivisorSpec(2, 4)
     assert next(_d_chunks(1, _FAST_CHUNK, _fast_term_bound, x, 4)).dtype == object
+    # float chunks are exact and read-only, slices of _BASE and rows alike
+    # (the row is refilled for the next chunk, so each is checked as it comes)
+    seen = []
+    for d in _d_chunks(1, 2 * _FAST_CHUNK + 5, None, as_float=True):
+        assert d.dtype == np.float64 and not d.flags.writeable
+        seen += d.tolist()
+    assert seen == list(range(1, 2 * _FAST_CHUNK + 6))
     assert fast_fields(x, spec) == loop_reference(x, spec)
 
 
@@ -366,31 +373,15 @@ def test_quotient_is_floor_division(data):
         assert (x - d * q).tolist() == [x % v for v in ds]
 
 
-def _float_sum_edge(a, chunk):
-    # smallest x whose first alpha = 0 chunk has floor(x/1) * n >= 2**53, so
-    # that its quotients are summed in int64, not float64
-    lo, hi = 1, 2**53
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid * min(integer_root(mid, a), chunk) >= 2**53:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def test_fast_near_float_quotient_limit(monkeypatch):
     # x // d and x mod d run through float64 below 2**53 and in integers from
     # 2**53 on.  a = 3, alpha = 0 has an object first chunk at 2**53 - 1 in
-    # chunks of 2**14 and float chunks past it; in chunks of 97 the first is a
-    # float chunk whose quotients sum past 2**53, so they are summed in int64.
-    # alpha = 1 runs float chunks below 2**53 and int64 chunks from it on,
-    # alpha = 2 int64 chunks throughout
+    # chunks of 2**14 and float chunks past it, whose quotients sum past 2**53
+    # in chunks of 97 (an int64 sum keeps them exact).  alpha = 1 runs float
+    # chunks below 2**53 and int64 chunks from it on, alpha = 2 int64 chunks
+    # throughout
     cases = [(x, DivisorSpec(a, alpha)) for x in (2**53 - 1, 2**53, 2**53 + 1)
              for a, alpha in ((3, 0), (4, 1), (4, 2))]
-    # both sides of the float-sum bound of alpha = 0, for each chunk length
-    cases += [(x, DivisorSpec(3, 0)) for chunk in (_FAST_CHUNK, 97)
-              for x in (_float_sum_edge(3, chunk) - 1, _float_sum_edge(3, chunk))]
     # cutoffs 2**14 - 1, 2**14 and 2**14 + 1: the workspace holds a whole
     # range, one full chunk, or a full chunk and a chunk of one
     cases += [(D**3, DivisorSpec(3, alpha)) for D in (2**14 - 1, 2**14, 2**14 + 1) for alpha in (0, 1)]
@@ -419,6 +410,11 @@ def test_float_fast_bit_equal_to_integer_quotient(monkeypatch, chunk):
                 b = summatory_fast(x, DivisorSpec(a, alpha))
                 got = (b.total, b._s_floor, b._s_pow, b._s_alpha)
                 assert got == float_fast_reference(x, DivisorSpec(a, alpha)), (a, x, alpha)
+    if chunk == _FAST_CHUNK:
+        # a = 2 past 2**53 (cutoff 9.5e7, about 2 s): int64 d, d itself as d^(a-1)
+        x, spec = 2**53 + 1, DivisorSpec(2, 1.0)
+        b = summatory_fast(x, spec)
+        assert (b.total, b._s_floor, b._s_pow, b._s_alpha) == float_fast_reference(x, spec)
 
 
 @pytest.mark.parametrize("a", (2, 3))
