@@ -9,11 +9,14 @@ conjecture quantifies; j = 0 additionally admits negative alpha.
 Exact mode (integer x, integer alpha) splits every term at its remainder
 r = x mod d into an integer part, summed over numpy chunks in int64 where a
 bound proves it safe, and a proper fraction s/d^e.  The fractions of each
-chunk are summed on Python ints by summatory._fraction_sum, a pairwise tree
-whose nodes keep the lcm of their denominators, and one more tree sums the
-chunk sums.  One Fraction is formed at the end, so cancellation-prone values
-are never touched by rounding.  Exact shifted psi block sums run the same
-tree over their N exact psi values.
+chunk are summed by summatory._fraction_sum, a pairwise tree on the pairs
+(s, d) whose nodes keep the lcm of their d, so its gcds run on numbers e
+times shorter than d^e; its first levels run in int64 numpy as far as a
+closed-form bound allows, the rest on Python ints.  One more tree sums the
+chunk sums, the common denominator (lcm of the d)^e is formed once, and one
+Fraction at the end, so cancellation-prone values are never touched by
+rounding.  Exact shifted psi block sums run the same tree over their N
+exact psi values, and alpha = 0 harmonic sums (summatory) over the 1/d.
 Float mode is a double-precision pass over the same chunks of d, within
 the summatory_fast work budget, building no array per chunk: every
 intermediate is written into three float64 rows allocated once per call.
@@ -48,12 +51,13 @@ from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
 from .divisors import integer_root
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
-# the common denominator grows by about 0.43 * e digits a term, and G_{2,1,2}
-# (e = 1) takes 26 s at the limit (x = 1.1e12 at a = 2)
+# the common denominator grows by about 0.43 * e digits a term; at the limit
+# G_{2,1,2} (e = 1, x = 1.1e12 at a = 2) takes 21 s and G_{2,0,2} (e = 2,
+# x = 2.7e11) 9.5 s (2-vCPU x86-64)
 _EXACT_TERMS_LIMIT = 1 << 20
 # work budget of one exact shifted_psi_block_sum in N: the lcm of the 4(4n + a')
-# grows by about 5.8 bits a term, so the cost grows faster than N; 0.9 s at the
-# limit, 0.1 s at 2**14 (2-vCPU x86-64)
+# grows by about 5.8 bits a term, so the cost grows faster than N; 0.9-1.1 s at
+# the limit, 0.11-0.14 s at 2**14 (2-vCPU x86-64)
 _PSI_BLOCK_LIMIT = 1 << 16
 
 
@@ -122,9 +126,11 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     term is P_d / (den_c * d^e), where e = max(j - alpha, 0) and
     P_d = d^max(alpha - j, 0) * sum_k c_k r^k d^(j-k).  divmod(P_d, d^e)
     splits it into a whole part, summed per chunk in numpy, and a proper
-    fraction s_d / d^e; each chunk's nonzero s_d / d^e go to the fraction tree
-    summatory._fraction_sum as arrays, and one more tree sums the chunk sums.
-    Int for j = 0 and alpha >= 0, Fraction otherwise.
+    fraction s_d / d^e; each chunk's nonzero s_d go with their d, not d^e, to
+    the fraction tree summatory._fraction_sum as arrays, which returns
+    (n, b) with the chunk sum n / b^e, b the lcm of the chunk's d.  One more
+    tree sums the chunk sums the same way, and the denominator b^e is formed
+    once.  Int for j = 0 and alpha >= 0, Fraction otherwise.
     """
     e, lift = max(j - alpha, 0), max(alpha - j, 0)
     if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
@@ -133,7 +139,7 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
         )
     den_c, c = _scaled_coefficients(j)
     weight, power = sum(map(abs, c)), max(j, abs(alpha))
-    whole, nums, dens = 0, [], []
+    whole, nums, bases = 0, [], []
     for d in summatory._d_chunks(lo, hi, _horner_bound, weight, power):
         if j:
             r = summatory._mod(x, d)
@@ -153,12 +159,13 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
         s = p % den
         whole += int((p // den).sum())
         keep = s != 0
-        part = summatory._fraction_sum(s[keep], den[keep])
-        nums.append(part[0])
-        dens.append(part[1])
+        num, base = summatory._fraction_sum(s[keep], d[keep], e)
+        nums.append(num)
+        bases.append(base)
     if j == 0 and alpha >= 0:
         return whole
-    num, den = summatory._fraction_sum(nums, dens)
+    num, base = summatory._fraction_sum(nums, bases, e)
+    den = base**e
     return Fraction(whole * den + num, den * den_c)
 
 
@@ -166,7 +173,7 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
     # every Horner value, power of d and whole part over d <= hi is at most
     # weight * hi**power, with weight the sum of |c_k|, so a chunk sum is at
     # most its length times that
-    return weight * hi**power
+    return weight * hi**power * (hi - lo + 1)
 
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
@@ -251,9 +258,10 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
     The block sums whose cancellation drives the sharpest unconditional
     error exponents.  Requires |shift_a| + |shift_b| <= 1 and
     3 <= N <= sqrt(x).  Integer x gives the exact rational sum, one psi per n
-    summed by the fraction tree summatory._fraction_sum, for N up to
-    _PSI_BLOCK_LIMIT; other x a float sum over numpy chunks of n, within the
-    summatory_fast work budget.
+    summed by the fraction tree summatory._fraction_sum on Python-int lists
+    (its int64 levels do not pay here: psi's Fractions cost more than the
+    tree), for N up to _PSI_BLOCK_LIMIT; other x a float sum over numpy
+    chunks of n, within the summatory_fast work budget.
     """
     if abs(shift_a) + abs(shift_b) > 1:
         raise ValueError("|shift_a| + |shift_b| must be <= 1")

@@ -47,8 +47,12 @@ allocated once per call, so a tiny call allocates a few hundred bytes.
 Exact sums stay exact: at alpha = 1 every x mod d is below d <= D < 2^27,
 so a chunk of at most 2^14 sums below 2^41, and a float sum of nonnegative
 integers is exact while its total is below 2^53, since every partial sum
-is an integer no larger than the total.  At alpha = 0 the float quotients
-are summed in int64, exact under _fast_term_bound's bound.
+is an integer no larger than the total.  At alpha = 0 that holds a
+posteriori: a float sum of nonnegative integers, in any order, rounds only
+where a partial sum reaches 2^53, and rounding is monotone and 2^53 a
+float, so every later partial sum, and the total, stay at or above 2^53.
+A float total below 2^53 is therefore exact; past it the quotients are
+summed again in int64, exact under _fast_sum_bound.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.
 """
@@ -76,6 +80,11 @@ _BASE.flags.writeable = False
 # is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
 # at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks
 _FAST_CUTOFF_LIMIT = 10**9
+# fewest leaves whose fraction tree (_fraction_sum) starts in int64 numpy: a
+# numpy level has a fixed cost of several µs, and on the fractions of exact G
+# blocks at x = 4e7 (2-vCPU x86-64) 64 leaves took 1.2-1.5x the time of the
+# Python-int loop, 128 leaves 0.87-0.94x and 1024 leaves 0.54-0.65x
+_INT64_TREE_FLOOR = 128
 
 
 @dataclass
@@ -160,11 +169,12 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         # below 2**53 the quotients go to one row, and at alpha 0 and 1 d is
         # float and, at alpha = 1, so are the chunk sums (module docstring)
         q_row = np.empty(min(cut, _FAST_CHUNK)) if x < 2**53 else None
-        for d in _d_chunks(1, cut, _fast_term_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
+        for d in _d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
             if x < 2**53 and d.dtype != object:
                 t = _quotient(x, d, out=q_row[: len(d)])
                 if not alpha:
-                    s += int(t.sum(dtype=np.int64))
+                    v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
+                    s += int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
                     continue
                 if alpha > 1:
                     t = t.astype(np.int64)
@@ -264,11 +274,11 @@ def _quotient(x: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return np.floor(q, out=q)
 
 
-def _d_chunks(lo: int, hi: int, term_bound, *args, as_float: bool = False):
+def _d_chunks(lo: int, hi: int, sum_bound, *args, as_float: bool = False):
     """d = lo..hi in numpy chunks of at most _FAST_CHUNK, refused past _FAST_CUTOFF_LIMIT terms.
 
-    A chunk d = start..end is int64 when term_bound(start, end, *args), a bound on
-    every integer term the caller sums over it, times its length is below 2**63,
+    A chunk d = start..end is int64 when sum_bound(start, end, *args), a bound on
+    every integer term the caller sums over it and on their sum, is below 2**63,
     else a Python-int object array.  Callers that sum no integer term over d
     in numpy (float sums, fraction trees on Python ints) pass None.  With
     as_float, for hi < 2**53, a chunk that would be int64 is a read-only
@@ -283,7 +293,7 @@ def _d_chunks(lo: int, hi: int, term_bound, *args, as_float: bool = False):
     for start in range(lo, hi + 1, _FAST_CHUNK):
         end = min(start + _FAST_CHUNK - 1, hi)
         n = end - start + 1
-        fits = term_bound is None or term_bound(start, end, *args) * n < 2**63
+        fits = sum_bound is None or sum_bound(start, end, *args) < 2**63
         if not (fits and as_float):
             yield np.arange(start, end + 1, dtype=np.int64 if fits else object)
         elif end < len(_BASE):
@@ -335,43 +345,90 @@ def _mod(x: int, d: np.ndarray) -> np.ndarray:
     return r
 
 
-def _fast_term_bound(lo: int, hi: int, x: int, alpha: int) -> int:
+def _fast_sum_bound(lo: int, hi: int, x: int, alpha: int) -> int:
     # alpha >= 1: 0 <= x mod d < d, so d^(alpha-1) * (x mod d) < d^alpha <= hi^alpha,
     # and its factors are below that too, whatever x is (_mod brings x mod d
-    # into int64 from x >= 2**63).  alpha = 0: floor(x/d) <= x // lo, and
-    # x // d needs x itself in int64, so at x >= 2**63 no chunk passes
+    # into int64 from x >= 2**63).  alpha = 0: floor(x/d) <= x/d, and the
+    # k-th of the (hi // lo).bit_length() dyadic pieces lo*2^k <= d < lo*2^(k+1),
+    # which cover lo..hi, has at most lo*2^k terms of at most x/(lo*2^k), so
+    # sums to at most x; x // d needs x itself in int64, and at x >= 2**63 the
+    # bound is past 2**63 too
     if alpha >= 1:
-        return hi**alpha
-    return x // lo if x < 2**63 else x
+        return hi**alpha * (hi - lo + 1)
+    return x * (hi // lo).bit_length()
 
 
-def _fraction_sum(num, den) -> tuple[int, int]:
-    """(n, d) with n/d = sum of num[i]/den[i], den[i] > 0, unreduced; (0, 1) if empty.
+def _fraction_sum(num, base, e: int = 1) -> tuple[int, int]:
+    """(n, b) with n / b**e = sum of num[i] / base[i]**e, base[i] > 0, unreduced; (0, 1) if empty.
 
-    A pairwise tree: each level merges neighbours 2i, 2i + 1 and divides out
-    the gcd of their denominators, so a node's denominator is the lcm of its
-    leaves' den[i], not their product, and (n, d) does not depend on the
-    tree's shape.  Arrays are summed as Python-int lists, so no merged value
-    can overflow, in slices of 1024, which keeps the peak memory low.
+    A pairwise tree: each level merges neighbours a / b**e and c / f**e as
+
+        g = gcd(b, f),   n = a * (f//g)**e + c * (b//g)**e,   base (b//g) * f,
+
+    so a node's base is the lcm of its leaves' bases and its denominator,
+    that base to the e, the lcm of their denominators; (n, b) does not depend
+    on the tree's shape.  The gcds run on the bases, e times shorter than the
+    denominators.  An int64 array of at least _INT64_TREE_FLOOR leaves runs
+    its first levels in numpy, as many as _int64_levels proves stay below
+    2**63; the rest, and any other input, runs on Python ints, where nothing
+    can overflow, taken from arrays in slices of 1024, which keeps the peak
+    memory low.
     """
-    if isinstance(den, np.ndarray):
-        parts = [
-            _fraction_sum(num[i : i + 1024].tolist(), den[i : i + 1024].tolist())
-            for i in range(0, len(den), 1024)
-        ]
-        num, den = [n for n, _ in parts], [d for _, d in parts]
-    while len(den) > 1:
-        merged_num, merged_den = [], []
-        for a, b, c, e in zip(num[::2], den[::2], num[1::2], den[1::2]):
-            g = math.gcd(b, e)
-            b //= g
-            merged_num.append(a * (e // g) + c * b)
-            merged_den.append(b * e)
-        if len(den) % 2:
+    if isinstance(base, np.ndarray):
+        if len(base) >= _INT64_TREE_FLOOR and base.dtype == np.int64:
+            num, base = _int64_levels(num, base, e)
+        if len(base) <= 1024:
+            num, base = num.tolist(), base.tolist()
+        else:
+            parts = [
+                _fraction_sum(num[i : i + 1024].tolist(), base[i : i + 1024].tolist(), e)
+                for i in range(0, len(base), 1024)
+            ]
+            num, base = [n for n, _ in parts], [b for _, b in parts]
+    while len(base) > 1:
+        merged_num, merged_base = [], []
+        if e == 1:  # no powers: they, or a test per merge, slow small trees by 3-24 %
+            for a, b, c, f in zip(num[::2], base[::2], num[1::2], base[1::2]):
+                g = math.gcd(b, f)
+                b //= g
+                merged_num.append(a * (f // g) + c * b)
+                merged_base.append(b * f)
+        else:
+            for a, b, c, f in zip(num[::2], base[::2], num[1::2], base[1::2]):
+                g = math.gcd(b, f)
+                b //= g
+                merged_num.append(a * (f // g) ** e + c * b**e)
+                merged_base.append(b * f)
+        if len(base) % 2:
             merged_num.append(num[-1])
-            merged_den.append(den[-1])
-        num, den = merged_num, merged_den
-    return (num[0], den[0]) if den else (0, 1)
+            merged_base.append(base[-1])
+        num, base = merged_num, merged_base
+    return (num[0], base[0]) if base else (0, 1)
+
+
+def _int64_levels(num: np.ndarray, base: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first levels of _fraction_sum's tree, merged in int64 numpy.
+
+    With A = max |num| and M = max base, a node of level l has base at most
+    B_l = M**(2**l) and |numerator| at most N_l = 2**l * A * M**(e*(2**l - 1)),
+    since N_{l+1} = 2 * N_l * B_l**e.  Every product and sum of the merge into
+    level l + 1 is at most N_{l+1} or B_{l+1}, so a level runs in int64 while
+    both stay below 2**63 (A is taken as at least 1, so that N_{l+1} also
+    covers (b//g)**e <= B_l**e).  As in the Python-int loop, a level of odd
+    length carries its last node to the next.
+    """
+    n_top, b_top = max(int(np.abs(num).max()), 1), int(base.max())
+    while len(base) > 1:
+        n_top, b_top = 2 * n_top * b_top**e, b_top * b_top
+        if n_top >= 2**63 or b_top >= 2**63:
+            break
+        m = len(base) // 2 * 2
+        b, f = base[:m:2], base[1:m:2]
+        g = np.gcd(b, f)
+        b = b // g
+        num = np.concatenate((num[:m:2] * (f // g) ** e + num[1:m:2] * b**e, num[m:]))
+        base = np.concatenate((b * f, base[m:]))
+    return num, base
 
 
 def _brute_root(x: int, spec: DivisorSpec) -> int:

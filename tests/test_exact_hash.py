@@ -14,6 +14,11 @@ start 12**a and first whole period of 27720, its multiples, 2**17-entry
 blocks, and chunks that start off the wheel's phase.  Tables are hashed as
 little-endian int64 / float64 bytes, scalar totals as hex ints / float.hex,
 so float tables must match bit for bit too.
+
+A third SHA-256 covers the exact sums the first one does not reach: exact
+shifted_psi_block_sum at every shift, at block starts from 3 to past 1024,
+and the alpha = 0 term_main and term_psi of summatory_fast, whose harmonic
+sum runs the fraction tree on 1/d.
 """
 
 import hashlib
@@ -22,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from cwlab import summatory
-from cwlab.cw_sums import GSumSpec, block_g, g_sum
+from cwlab.cw_sums import GSumSpec, block_g, g_sum, shifted_psi_block_sum
 from cwlab.divisors import DivisorSpec, restricted_sigma_table
 from cwlab.summatory import summatory_bruteforce, summatory_bruteforce_table, summatory_fast
 
@@ -30,6 +35,8 @@ EXACT_SHA256 = "41eaac3a89817df7c2a099256084f0dc333dddd08e9485e292947520a71c081a
 EXACT_ITEMS = 2046
 TABLE_SHA256 = "da42a936f00a3a76d95300054109eb703fd71d0df727c05fc12f5a62a656a57c"
 TABLE_ITEMS = 660
+TREE_SHA256 = "9fe14737814a703498aa13ca918d561c7c6d940db9626c098c89242dc3a1f47c"
+TREE_ITEMS = 52
 
 XS = (0, 1, 2, 17, 100, 300, 10**4 + 1, 10**6 + 3, 2**31 + 11, 10**9 + 7, 10**12 + 39,
       2**53 - 1, 2**53, 2**53 + 1, 2**59 + 3, 2**63 - 25, 2**63 + 5, 2**64 + 7)
@@ -73,6 +80,25 @@ def test_exact_outputs_hash():
         h.update(_enc(item).encode())
         count += 1
     assert (h.hexdigest(), count) == (EXACT_SHA256, EXACT_ITEMS)
+
+
+def tree_items():
+    for x in (2**21 + 7, 4 * 10**7 + 9):
+        for n in (3, 64, 260, 1025):
+            for shift in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                yield x, n, shift, shifted_psi_block_sum(n, x, *shift)
+    for a in (2, 3):
+        for x in (1, 2, 17, 10**4 + 1, 2**20 + 3, 4 * 10**6 + 3):
+            b = summatory_fast(x, DivisorSpec(a, 0))
+            yield a, x, b.term_main, b.term_psi
+
+
+def test_tree_outputs_hash():
+    h, count = hashlib.sha256(), 0
+    for item in tree_items():
+        h.update(_enc(item).encode())
+        count += 1
+    assert (h.hexdigest(), count) == (TREE_SHA256, TREE_ITEMS)
 
 
 def table_items(monkeypatch):

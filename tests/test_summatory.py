@@ -17,7 +17,7 @@ from cwlab.summatory import (
     BRUTEFORCE_LIMIT,
     _FAST_CHUNK,
     _d_chunks,
-    _fast_term_bound,
+    _fast_sum_bound,
     _fraction_sum,
     _quotient,
     summatory_bruteforce,
@@ -215,7 +215,7 @@ def test_fast_chunk_boundaries(monkeypatch):
     cases.append((2**63 + 1, DivisorSpec(4, 0)))
     want = [fast_fields(x, spec) for x, spec in cases]
     monkeypatch.setattr(s, "_FAST_CHUNK", p)
-    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_term_bound, 10**10, 5)}
+    dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_sum_bound, 10**10, 5)}
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for (x, spec), w in zip(cases, want):
         assert fast_fields(x, spec) == w == loop_reference(x, spec)
@@ -262,7 +262,7 @@ def test_mod_by_limbs():
 def test_fast_object_dtype_below_int64():
     # x < 2**63, but d^4 * floor(x/d) summed over a chunk would wrap int64
     x, spec = 10**10, DivisorSpec(2, 4)
-    assert next(_d_chunks(1, _FAST_CHUNK, _fast_term_bound, x, 4)).dtype == object
+    assert next(_d_chunks(1, _FAST_CHUNK, _fast_sum_bound, x, 4)).dtype == object
     # float chunks are exact and read-only, slices of _BASE and rows alike
     # (the row is refilled for the next chunk, so each is checked as it comes)
     seen = []
@@ -319,12 +319,15 @@ def test_harmonic_sum_matches_fraction_loop():
         assert b.term_main == x * want and type(b.term_main) is Fraction
 
 
-def test_fraction_sum_merge():
-    def check(num, den):
-        got = _fraction_sum(num, den)
-        want = sum((Fraction(int(p), int(q)) for p, q in zip(num, den)), Fraction(0))
-        assert Fraction(*got) == want
-        return got
+def _check_fraction_sum(num, base, e=1):
+    got = _fraction_sum(num, base, e)
+    want = sum((Fraction(int(p), int(q) ** e) for p, q in zip(num, base)), Fraction(0))
+    assert Fraction(got[0], got[1] ** e) == want
+    return got
+
+
+def test_fraction_sum_merge(monkeypatch):
+    check = _check_fraction_sum
 
     rng = random.Random(71)
     assert _fraction_sum(np.zeros(0, np.int64), np.zeros(0, np.int64)) == (0, 1)
@@ -348,10 +351,78 @@ def test_fraction_sum_merge():
     check(np.array([3**50 + k for k in range(-40, 41)], dtype=object),
           np.array([2**70 + k for k in range(81)], dtype=object))
     # denominators stay at the lcm, not the product
-    for n in (40, 100):
+    for n in (40, 100, 300):
         lcm = math.lcm(*range(1, n + 1))
         assert _fraction_sum(np.ones(n, dtype=np.int64), np.arange(1, n + 1))[1] == lcm
         assert _fraction_sum([1] * n, list(range(1, n + 1)))[1] == lcm
+    # leaves s / d**e: the base stays at the lcm of the d at every e
+    for e in (2, 3, 4):
+        for n in (5, 200):
+            base = np.arange(1, n + 1)
+            num = np.array([rng.randrange(-(d**e) + 1, d**e) for d in base.tolist()])
+            got = check(num, base, e)
+            assert got[1] == math.lcm(*base.tolist())
+            assert check(num.tolist(), base.tolist(), e) == got
+    # tiled bases whose lcm, to the e, just passes 2**63: every node of the
+    # second level holds that lcm, so that level must leave int64
+    for e in (1, 2):
+        k = math.isqrt(math.isqrt(2**63)) // (1 if e == 1 else 2**8)
+        while math.lcm(k, k + 1, k + 2, k + 3) ** e < 2**63:
+            k += 1
+        assert math.lcm(k - 1, k, k + 1, k + 2) ** e < 2**63
+        base = np.array([k, k + 1, k + 2, k + 3] * 64)
+        num = np.array([rng.randrange(-(k**e), k**e) for _ in range(len(base))])
+        assert check(num, base, e) == check(num.tolist(), base.tolist(), e)
+    # leaves that reach the int64 bound of the first level: coprime bases k
+    # and k + 2 whose product passes 2**63, and numerators A whose merged sum
+    # A * (2k + 2) does, though A * (k + 2) does not
+    floor = s._INT64_TREE_FLOOR
+    for k, a in ((math.isqrt(2**63) | 1, 1), (2**20 + 1, 2**63 // (2 * 2**20 + 4) + 1)):
+        base, num = np.array([k, k + 2] * floor), np.full(2 * floor, a)
+        assert check(num, base) == check(num.tolist(), base.tolist())
+    # int64 arrays of at least _INT64_TREE_FLOOR leaves, and only those, run
+    # the numpy levels
+    lengths, levels = [], s._int64_levels
+    monkeypatch.setattr(s, "_int64_levels", lambda num, base, e: lengths.append(len(base)) or levels(num, base, e))
+    for n in (floor - 1, floor):
+        check(np.ones(n, dtype=np.int64), np.arange(1, n + 1))
+        check(np.ones(n, dtype=object), np.arange(1, n + 1, dtype=object))
+    assert lengths == [floor]
+
+
+def _int64_edge(levels: int, a: int, e: int) -> int:
+    # the largest M for which _int64_levels's closed-form bound allows
+    # `levels` levels: M**(2**l) < 2**63 and 2**l * A * M**(e*(2**l - 1)) < 2**63
+    lo, hi = 1, 2**32
+    while lo < hi:
+        m = (lo + hi + 1) // 2
+        l = 2**levels
+        if m**l < 2**63 and l * a * m ** (e * (l - 1)) < 2**63:
+            lo = m
+        else:
+            hi = m - 1
+    return lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fraction_sum_int64_levels(data):
+    # int64 arrays near the leaf-count floor, with bases just below and just
+    # above the edge of each level's int64 bound and numerators near A, must
+    # give the pair of the Python-int list path and the Fraction sum
+    floor = s._INT64_TREE_FLOOR
+    n = data.draw(st.sampled_from((floor - 1, floor, floor + 1, 2 * floor + 3, 1000)), label="n")
+    e = data.draw(st.integers(1, 4), label="e")
+    levels = data.draw(st.integers(1, 4), label="levels")
+    a_max = data.draw(st.sampled_from((1, 2**20, 2**40)), label="A")
+    edge = _int64_edge(levels, a_max, e)
+    m = max(2, edge + data.draw(st.integers(-2, 3), label="offset"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    span = max(1, min(m - 1, 2**10))
+    base = [m] + [m - rng.randrange(span) for _ in range(n - 1)]
+    num = [a_max] + [rng.choice((-1, 1)) * (a_max - rng.randrange(min(a_max, 2**10))) for _ in range(n - 1)]
+    got = _check_fraction_sum(np.array(num), np.array(base), e)
+    assert _fraction_sum(num, base, e) == got
 
 
 @settings(max_examples=300, deadline=None)
@@ -479,6 +550,30 @@ def test_fast_remainder_form_stays_int64(monkeypatch):
         b = summatory_fast(x, DivisorSpec(2, alpha))
         assert (b.total, b._s_floor) == (total, s_floor)
         assert seen and set(seen) == {np.dtype(np.float64) if alpha == 1 else np.dtype(np.int64)}, (x, alpha)
+
+
+def test_alpha0_dyadic_sum_bound(monkeypatch):
+    # a chunk's floor(x/d) sum to at most x * (hi // lo).bit_length(), so
+    # the first chunk (d = 1..2**14) stays off object arrays up to
+    # x * 15 < 2**63, past the old term bound's switch at x * 2**14 = 2**63
+    # (x = 2**49); below 2**53 every chunk is float64
+    seen = _chunk_dtypes(monkeypatch)
+    first = (2**63 - 1) // 15  # the last x whose first chunk is int64
+    for x, a, dtypes in ((2**49 - 1, 3, [np.float64]), (2**49 + 1, 3, [np.float64]),
+                         (first, 4, [np.int64]), (first + 1, 4, [object, np.int64])):
+        spec = DivisorSpec(a, 0)
+        seen.clear()
+        assert fast_fields(x, spec) == loop_reference(x, spec), x
+        assert len(seen) > 1 and sorted(set(seen), key=str) == sorted(map(np.dtype, dtypes), key=str), x
+        assert seen[0] == np.dtype(dtypes[0]), x
+    # float chunk sums between 2**53 and 2**54: the first chunk's x + x // 2
+    # is odd at these x, so its float sum rounds, and only the int64 sum is exact
+    spec = DivisorSpec(4, 0)
+    for x in (2**53 - 3, 2**53 - 7):
+        want = loop_reference(x, spec)
+        for chunk in (2, 3):
+            monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+            assert fast_fields(x, spec) == want, (x, chunk)
 
 
 def test_breakdown_keeps_power_sum(monkeypatch):
