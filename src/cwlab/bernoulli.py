@@ -87,7 +87,8 @@ def psi(x):
         return x - np.floor(x) - 0.5
     if isinstance(x, float):
         return x - math.floor(x) - 0.5
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     num, den = x.numerator, x.denominator
     return Fraction(2 * (num % den) - den, 2 * den)
 

@@ -5,21 +5,26 @@ a = 2 gives the half-range sum sigma~_alpha, alpha = 0 gives the counting
 function tau_a.  The membership test is always the integer comparison
 d**a <= n — never a floating root, which misclassifies perfect powers.
 
-Exact integer results use Python ints throughout (arbitrary precision, so
-"overflow" cannot silently wrap).  The batch sieves use int64 arrays behind
-explicit magnitude guards and refuse rather than risk wrapping.
+The per-n functions enumerate divisors by trial division over d <= isqrt(n)
+in int64 numpy chunks, behind a work budget of isqrt(n) <= 10**8.  Every n
+the budget accepts is below (10**8 + 1)**2 < 2**63, so n, d and n % d are
+exact int64 values; the sums over the divisors run on Python ints, so they
+cannot wrap.  The batch sieves use int64 arrays behind explicit magnitude
+guards and refuse rather than risk wrapping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from math import isqrt
 
 import numpy as np
 
-# work budget of _divisors in trial divisions (n < 1e16); 0.69 s at 1e7
+# work budget of _divisors in trial divisions (n < 1e16); about 0.5 s at the edge on a 2-vCPU x86-64 host
 _TRIAL_DIVISION_LIMIT = 10**8
+_TRIAL_CHUNK = 1 << 14  # trial divisors per int64 chunk, as summatory._FAST_CHUNK
 
 
 @dataclass(frozen=True)
@@ -80,26 +85,31 @@ def integer_root(n: int, a: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    """All divisors of n >= 1, via trial division up to sqrt(n)."""
+    """All divisors of n >= 1 in ascending order, by trial division up to isqrt(n).
+
+    The d <= isqrt(n) run in int64 chunks of _TRIAL_CHUNK, each keeping
+    d[n % d == 0], so memory stays bounded whatever n is; the cofactors n // d
+    follow in reverse.  Exact: the budget keeps n below 2**63 (module docstring).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isqrt(n) > _TRIAL_DIVISION_LIMIT:
+    r = isqrt(n)
+    if r > _TRIAL_DIVISION_LIMIT:
         raise ValueError(f"sqrt(n) exceeds the work budget of {_TRIAL_DIVISION_LIMIT} trial divisions")
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return out
+    small = []
+    for start in range(1, r + 1, _TRIAL_CHUNK):
+        d = np.arange(start, min(start + _TRIAL_CHUNK, r + 1), dtype=np.int64)
+        small += d[n % d == 0].tolist()
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def divisor_sum_restricted(n: int, spec: DivisorSpec):
     """sigma_{a,alpha}(n) = sum of d**alpha over divisors d with d**a <= n.
 
-    Exact int in integer-alpha mode; math.fsum of d**alpha otherwise.
+    Exact int in integer-alpha mode; math.fsum of d**alpha otherwise.  The
+    divisors come ascending, so the test stops at the first d with d**a > n.
     """
-    divs = [d for d in _divisors(n) if d**spec.a <= n]
+    divs = list(takewhile(lambda d: d**spec.a <= n, _divisors(n)))
     if spec.exact:
         return sum(d**spec.alpha for d in divs)
     return math.fsum(d**spec.alpha for d in divs)

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,10 @@ def test_psi_examples():
     assert psi(2.5) == 0.0
     assert psi(Fraction(10, 3)) == Fraction(-1, 6)
     assert psi(-0.25) == 0.25          # -0.25 - floor(-0.25) - 1/2
+    # ints and Fractions are read directly; other exact types go through Fraction
+    for x, want in ((True, Fraction(-1, 2)), (np.int64(-7), Fraction(-1, 2)), (Decimal("10.25"), Fraction(-1, 4))):
+        got = psi(x)
+        assert got == want and type(got) is Fraction, x
 
 
 def test_psi_range():

@@ -1,12 +1,16 @@
 import random
+import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from cwlab import divisors, invariants, summatory
 from cwlab.divisors import (
+    _TRIAL_CHUNK,
     _TRIAL_DIVISION_LIMIT,
     DivisorSpec,
+    _divisors,
     _sigma_table,
     divisor_sum_restricted,
     integer_root,
@@ -152,6 +156,78 @@ def test_divisors_work_budget():
         for fn in (tau, lambda n: sigma_alpha(n, 1), lambda n: divisor_sum_restricted(n, DivisorSpec(2, 1))):
             with pytest.raises(ValueError, match="work budget"):
                 fn(n)
+
+
+def _loop_divisors(n):
+    # the enumerator before its int64 chunks: one Python trial division per d
+    out = []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
+    return out
+
+
+def _check_divisors(n, want):
+    got = _divisors(n)
+    assert got == sorted(want), n
+    assert all(d < e for d, e in zip(got, got[1:])), n  # ascending, no repeats
+    assert all(type(d) is int for d in got), n
+
+
+def test_divisors_match_loop():
+    rng = random.Random(41)
+    for n in [*range(1, 2 * 10**4 + 1), *(rng.randrange(1, 10**7) for _ in range(2_000))]:
+        _check_divisors(n, _loop_divisors(n))
+
+
+def test_divisors_chunk_edges():
+    # isqrt(n) at the end of a chunk, one past it and one short of it
+    for r in (_TRIAL_CHUNK - 1, _TRIAL_CHUNK, _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK - 1, 2 * _TRIAL_CHUNK,
+              2 * _TRIAL_CHUNK + 1):
+        for n in (r * r - 1, r * r, r * r + 1, r * (r + 1)):
+            _check_divisors(n, _loop_divisors(n))
+
+
+def test_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")  # an independent oracle, not a runtime dependency
+    rng = random.Random(43)
+    # n log-uniform below 10**16, so most draws stay cheap; then prime squares
+    # with isqrt(n) near 2**26 and at the budget's 10**8, and products of two close primes
+    ns = [int(10 ** rng.uniform(0, 16)) for _ in range(200)]
+    ns += [p * p for p in (sympy.prevprime(2**26), sympy.nextprime(2**26), sympy.prevprime(10**8))]
+    for m in (10**7, 2**26, 10**8):
+        p = sympy.prevprime(m)
+        ns += [p * sympy.prevprime(p), p * sympy.nextprime(p)]
+    for n in ns:
+        _check_divisors(n, sympy.divisors(n))
+
+
+def test_divisors_budget_edge():
+    # the largest n the budget accepts are exact int64 values: a prime below
+    # 10**16 and 10**16 = 2**16 5**16 itself, each about 0.5 s; the
+    # temporaries are one chunk's, whatever n is
+    assert (_TRIAL_DIVISION_LIMIT + 1) ** 2 - 1 < 2**63
+    tracemalloc.start()
+    try:
+        assert tau(9999999999999937) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert tau(10**16) == 289
+
+
+@pytest.mark.parametrize("a", (2, 3, 4))
+def test_divisor_sum_restricted_matches_filter(a):
+    # the ascending early stop against the test of every divisor
+    rng = random.Random(47)
+    for n in [*range(1, 2_000), *(k**a + e for k in range(2, 60) for e in (-1, 0, 1)),
+              *(rng.randrange(1, 10**9) for _ in range(300))]:
+        divs = [d for d in _loop_divisors(n) if d**a <= n]
+        assert divisor_sum_restricted(n, DivisorSpec(a, 0)) == len(divs), (n, a)
+        assert divisor_sum_restricted(n, DivisorSpec(a, 2)) == sum(d * d for d in divs), (n, a)
 
 
 def _one_pass_sieve_into(arr, lo, spec, root):
