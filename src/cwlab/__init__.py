@@ -31,6 +31,7 @@ from .asymptotics import (
     euler_maclaurin_partial_sum,
     main_term_root_restricted,
     main_term_sqrt_restricted,
+    restricted_model,
     root_restricted_model,
     sqrt_restricted_model,
 )

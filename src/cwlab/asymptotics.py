@@ -1,19 +1,18 @@
 """Closed-form main terms, error-exponent constants, and Euler-Maclaurin sums.
 
-Summatory sums of root-restricted divisor functions obey
+Summatory sums of root-restricted divisor functions (divisors d^a <= n,
+integer a >= 2) obey
 
-    a = 2:  sum tau~(n)        = (1/2) x log x + (gamma - 1/2) x + (1/2) x^(1/2)
-            sum sigma~_alpha   = 2/(alpha(alpha+2)) x^(1+alpha/2)
-                                 + 1/(2(alpha+1)) x^((alpha+1)/2)
-                                 + (5/8 - alpha/8 - 1/alpha) x
-    a >= 3: sum tau_a(n)       = (1/a) x log x + (gamma - 1/a) x
-            sum sigma_{a,alpha} = a/(alpha(alpha+a)) x^(1+alpha/a)
-                                 + (5/8 - alpha/8 - 1/alpha) x
+    alpha = 0:  sum tau_a(n)         = (1/a) x log x + (gamma - 1/a) x
+    alpha > 0:  sum sigma_{a,alpha}(n) = a/(alpha(alpha+a)) x^(1+alpha/a)
+                                       + (5/8 - alpha/8 - 1/alpha) x
 
-up to an error x^theta(+eps).  For a = 2 the exponent is
-theta_alpha = alpha/2 + 1/4 if the Chowla-Walum conjecture holds and
-alpha/2 + 517/1648 unconditionally; for a >= 3 it is 1 - 2/a (alpha = 0)
-or 1 + (alpha-2)/a.  Everything here is evaluated in >= 30 significant
+and at a = 2 (divisors d <= sqrt n) both gain the term
+x^((alpha+1)/2) / (2(alpha+1)), so sum tau~(n) = (1/2) x log x +
+(gamma - 1/2) x + (1/2) x^(1/2).  They hold up to an error x^theta(+eps).
+For a = 2 the exponent is theta_alpha = alpha/2 + 1/4 if the Chowla-Walum
+conjecture holds and alpha/2 + 517/1648 unconditionally; for a >= 3 it is
+1 + (alpha-2)/a.  Everything here is evaluated in >= 30 significant
 digits: at x = 10^12 the leading term is ~10^18 while the residual of
 interest is ~10^10, far below double precision's reach.
 """
@@ -26,7 +25,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .cw_sums import gsum_cutoff
-from .divisors import integer_root
+from .divisors import integer_root, require_finite
 
 DEFAULT_DPS = 50
 
@@ -70,22 +69,23 @@ class MainTermModel:
     def evaluate(self, x, dps: int = DEFAULT_DPS):
         with mp.workdps(dps):
             xm = mp.mpf(x)
+            if not (mp.isfinite(xm) and xm > 0):
+                raise ValueError(f"x must be a finite number > 0, got {x!r}")
             logx = mp.log(xm)
             total = mp.mpf(0)
             for t in self.terms:
-                if isinstance(t.coeff, Fraction):
-                    c = mp.mpf(t.coeff.numerator) / t.coeff.denominator
-                else:
-                    c = mp.mpf(t.coeff)
-                if isinstance(t.exponent, Fraction):
-                    e = mp.mpf(t.exponent.numerator) / t.exponent.denominator
-                else:
-                    e = mp.mpf(t.exponent)
-                piece = c * xm**e
+                piece = _mpf(t.coeff) * xm ** _mpf(t.exponent)
                 if t.with_log:
                     piece *= logx
                 total += piece
             return total
+
+
+def _mpf(v):
+    """An mpf from a Fraction, float or mpf, at the working precision."""
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / v.denominator
+    return mp.mpf(v)
 
 
 def _normalize_terms(raw: list[Term]) -> tuple[Term, ...]:
@@ -105,21 +105,23 @@ def _normalize_terms(raw: list[Term]) -> tuple[Term, ...]:
     return tuple(ordered)
 
 
-def _as_exact(alpha):
+def _number(alpha):
+    """alpha as a Fraction (int or Fraction alpha) or a float; it must be
+    finite and >= 0."""
     if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        return Fraction(alpha)
-    return None
+        alpha = Fraction(alpha)
+    else:
+        alpha = float(alpha)
+        require_finite(alpha=alpha)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    return alpha
 
 
 def error_exponent(alpha, cw: bool = False):
     """theta_alpha = alpha/2 + 1/4 (conjectural) or alpha/2 + 517/1648."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    const = CW_THETA0 if cw else UNCONDITIONAL_THETA0
-    exact = _as_exact(alpha)
-    if exact is not None:
-        return exact / 2 + const
-    return alpha / 2 + float(const)
+    # a float alpha makes the sum a float: float + Fraction is float
+    return _number(alpha) / 2 + (CW_THETA0 if cw else UNCONDITIONAL_THETA0)
 
 
 def absorption_threshold(cw: bool = False) -> Fraction:
@@ -128,64 +130,46 @@ def absorption_threshold(cw: bool = False) -> Fraction:
     return 2 * (1 - const)
 
 
+def restricted_model(alpha, a: int = 2, cw: bool = False) -> MainTermModel:
+    """Main-term model for sum_{n <= x} sigma_{a,alpha}(n), divisors d^a <= n.
+
+    Exact for int or Fraction alpha (Fraction coefficients and exponents),
+    float otherwise; alpha = 0 (0.0 too) is exact, its x-coefficient
+    gamma - 1/a an mpf.  cw selects the error exponent at a = 2 and is
+    ignored for a >= 3.
+    """
+    if not isinstance(a, int) or isinstance(a, bool) or a < 2:
+        raise ValueError(f"restriction root must be an integer >= 2, got {a!r}")
+    t = _number(alpha)  # alpha in the model's number type; one set of formulas serves both
+    if t == 0:
+        t, one = Fraction(0), Fraction(1)
+        with mp.workdps(60):
+            gamma_coeff = euler_gamma(60) - mp.mpf(1) / a
+        terms = [Term(Fraction(1, a), one, with_log=True), Term(gamma_coeff, one)]
+    else:
+        one = Fraction(1) if isinstance(t, Fraction) else 1.0
+        terms = [
+            Term(a / (t * (t + a)), 1 + t / a),
+            Term(Fraction(5, 8) - t / 8 - 1 / t, one),
+        ]
+    if a == 2:
+        terms.append(Term(1 / (2 * (t + 1)), (t + 1) / 2))
+        theta, assumes_cw = error_exponent(alpha, cw), cw
+    else:
+        theta, assumes_cw = 1 + (t - 2) / a, None
+    return MainTermModel(_normalize_terms(terms), theta, assumes_cw)
+
+
 def sqrt_restricted_model(alpha, cw: bool = False) -> MainTermModel:
     """Main-term model for sum_{n <= x} sigma~_alpha(n) (divisors d <= sqrt n)."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    exact = _as_exact(alpha)
-    if alpha == 0:
-        with mp.workdps(60):
-            gamma_coeff = euler_gamma(60) - mp.mpf(1) / 2
-        terms = [
-            Term(Fraction(1, 2), Fraction(1), with_log=True),
-            Term(gamma_coeff, Fraction(1)),
-            Term(Fraction(1, 2), Fraction(1, 2)),
-        ]
-    elif exact is not None:
-        terms = [
-            Term(2 / (exact * (exact + 2)), 1 + exact / 2),
-            Term(1 / (2 * (exact + 1)), (exact + 1) / 2),
-            Term(Fraction(5, 8) - exact / 8 - 1 / exact, Fraction(1)),
-        ]
-    else:
-        a = float(alpha)
-        terms = [
-            Term(2.0 / (a * (a + 2)), 1 + a / 2),
-            Term(1.0 / (2 * (a + 1)), (a + 1) / 2),
-            Term(0.625 - a / 8 - 1.0 / a, 1.0),
-        ]
-    return MainTermModel(_normalize_terms(terms), error_exponent(alpha, cw), assumes_cw=cw)
+    return restricted_model(alpha, 2, cw)
 
 
 def root_restricted_model(alpha, a: int) -> MainTermModel:
     """Main-term model for sum_{n <= x} sigma_{a,alpha}(n), integer a >= 3."""
     if not isinstance(a, int) or isinstance(a, bool) or a < 3:
         raise ValueError(f"restriction root must be an integer >= 3, got {a!r}")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    exact = _as_exact(alpha)
-    if alpha == 0:
-        with mp.workdps(60):
-            gamma_coeff = euler_gamma(60) - mp.mpf(1) / a
-        terms = [
-            Term(Fraction(1, a), Fraction(1), with_log=True),
-            Term(gamma_coeff, Fraction(1)),
-        ]
-        theta = 1 - Fraction(2, a)
-    elif exact is not None:
-        terms = [
-            Term(a / (exact * (exact + a)), 1 + exact / a),
-            Term(Fraction(5, 8) - exact / 8 - 1 / exact, Fraction(1)),
-        ]
-        theta = 1 + (exact - 2) / a
-    else:
-        f = float(alpha)
-        terms = [
-            Term(a / (f * (f + a)), 1 + f / a),
-            Term(0.625 - f / 8 - 1.0 / f, 1.0),
-        ]
-        theta = 1 + (f - 2) / a
-    return MainTermModel(_normalize_terms(terms), theta, assumes_cw=None)
+    return restricted_model(alpha, a)
 
 
 def main_term_sqrt_restricted(x, alpha, cw: bool = False):

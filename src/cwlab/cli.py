@@ -143,7 +143,10 @@ def _parse_number(text: str):
     except ValueError:
         pass
     if "/" in t:
-        return Fraction(t)
+        try:
+            return Fraction(t)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(t)
 
 
@@ -316,12 +319,7 @@ def _cmd_summatory(args) -> int:
 
 
 def _cmd_asympt(args) -> int:
-    if args.a == 2:
-        model = asymptotics.sqrt_restricted_model(args.alpha, args.cw)
-        absorption = asymptotics.absorption_threshold(args.cw)
-    else:
-        model = asymptotics.root_restricted_model(args.alpha, args.a)
-        absorption = None
+    model = asymptotics.restricted_model(args.alpha, args.a, args.cw)
     value = model.evaluate(args.x) if args.x is not None else None
     row = {
         "a": args.a,
@@ -330,7 +328,7 @@ def _cmd_asympt(args) -> int:
         "x": args.x,
         "value": value,
         "theta": model.theta,
-        "absorption_threshold": absorption,
+        "absorption_threshold": asymptotics.absorption_threshold(args.cw) if args.a == 2 else None,
     }
     terms = ";".join(
         f"{_fmt(t.coeff)}*x^{_fmt(t.exponent)}" + ("*logx" if t.with_log else "")
@@ -347,17 +345,12 @@ def _cmd_pairs(args) -> int:
     result = apply_word(args.word, seed)
     row = {"word": args.word, "seed": args.seed, "k": result.k, "l": result.l}
     if args.j is not None:
-        bound = gsum_exponent_bound(result, args.j, args.alpha)
         if args.a is not None:
-            a = Fraction(args.a)
-            row["a"] = args.a
-            row["j"] = args.j
-            row["primary_offset"] = bound.primary_offset(a)
-            row["secondary_exponent"] = bound.secondary_exponent(a)
+            offset, secondary = exponent_pairs.theorem4_exponents(result, args.a, args.j, args.alpha)
+            row.update(a=args.a, j=args.j, primary_offset=offset, secondary_exponent=secondary)
         else:
-            row["j"] = args.j
-            row["primary_const"] = bound.primary_const
-            row["primary_inv_a"] = bound.primary_inv_a
+            bound = gsum_exponent_bound(result, args.j, args.alpha)
+            row.update(j=args.j, primary_const=bound.primary_const, primary_inv_a=bound.primary_inv_a)
         if args.j >= 2:
             settled = exponent_pairs.settled_a_range(result, args.alpha)
             row["settled_lo"] = settled[0] if settled else None
@@ -379,11 +372,7 @@ def _cmd_fit(args) -> int:
             raise ValueError("summatory residual fits require integer a")
         alpha = args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha)
         spec = DivisorSpec(args.a, alpha)
-        if args.a == 2:
-            model = asymptotics.sqrt_restricted_model(alpha, args.cw)
-        else:
-            model = asymptotics.root_restricted_model(alpha, args.a)
-        series = residual_series(spec, model, grid)
+        series = residual_series(spec, asymptotics.restricted_model(alpha, args.a, args.cw), grid)
         report = fit_loglog(series)
         rows = [
             {"x": p.x, "exact": p.exact, "model_value": p.model_value, "residual": p.residual}

@@ -48,7 +48,7 @@ from mpmath import mp
 
 from . import summatory
 from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
-from .divisors import integer_root
+from .divisors import integer_root, require_finite
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
 # the common denominator grows by about 0.43 * e digits a term; at the limit
@@ -76,6 +76,7 @@ class GSumSpec:
     x: int | float
 
     def __post_init__(self):
+        require_finite(a=self.a, alpha=self.alpha, x=self.x)
         if self.a <= 1:
             raise ValueError(f"restriction root a must exceed 1, got {self.a!r}")
         if not isinstance(self.j, int) or isinstance(self.j, bool) or self.j < 0:
@@ -267,6 +268,7 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
         raise ValueError("|shift_a| + |shift_b| must be <= 1")
     if not isinstance(n_start, int) or n_start < 3:
         raise ValueError(f"block start must be an integer >= 3, got {n_start!r}")
+    require_finite(x=x)
     if x < 1:
         raise ValueError("x must be >= 1")
     if n_start * n_start > x:

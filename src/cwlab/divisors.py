@@ -27,6 +27,13 @@ _TRIAL_DIVISION_LIMIT = 10**8
 _TRIAL_CHUNK = 1 << 14  # trial divisors per int64 chunk, as summatory._FAST_CHUNK
 
 
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first float value that is NaN or infinite."""
+    for name, v in values.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DivisorSpec:
     """Restriction root a (integer >= 2) and weight exponent alpha.
@@ -43,6 +50,7 @@ class DivisorSpec:
             raise ValueError(f"restriction root a must be an integer >= 2, got {self.a!r}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
             raise ValueError(f"alpha must be an int or float, got {self.alpha!r}")
+        require_finite(alpha=self.alpha)
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
 

@@ -30,8 +30,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 HALF = Fraction(1, 2)
 
 
@@ -161,13 +159,9 @@ def settled_a_range(pair: ExponentPair, alpha=0):
     """
     bound = gsum_exponent_bound(pair, 2, alpha)
     lo = Fraction(3, 2)
-    k, l = pair.k, pair.l
-    # k*a + (l - 2k) <= 1/2, for a > 1
+    # k*a + c <= 1/2 for a > 1, with k and c = l - 2k from the j >= 2 bound
+    k, c = bound.primary_const, bound.primary_inv_a
     if k == 0:
-        if l - 2 * k > HALF:
-            return None
-        return (lo, None)
-    hi = (HALF - l + 2 * k) / k
-    if hi < lo:
-        return None
-    return (lo, hi)
+        return None if c > HALF else (lo, None)
+    hi = (HALF - c) / k
+    return None if hi < lo else (lo, hi)

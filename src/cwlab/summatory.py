@@ -123,12 +123,15 @@ class SummatoryBreakdown:
             return Fraction(*_fraction_sum(nums, dens))
         return math.fsum(d ** (alpha - 1.0) for d in range(1, cut + 1))
 
+    @property
+    def _x_half(self):
+        """x and 1/2 in the mode's number type: int and Fraction, or floats."""
+        return (self.x, Fraction(1, 2)) if self.spec.exact else (float(self.x), 0.5)
+
     @cached_property
     def term_main(self):
         """x * G_{a,alpha-1,0}(x)."""
-        if self.spec.exact:
-            return self.x * self._sum_alpha_minus_one
-        return float(self.x) * self._sum_alpha_minus_one
+        return self._x_half[0] * self._sum_alpha_minus_one
 
     @property
     def term_power(self):
@@ -138,16 +141,13 @@ class SummatoryBreakdown:
     @property
     def term_half(self):
         """(1/2) * G_{a,alpha,0}(x)."""
-        if self.spec.exact:
-            return Fraction(self._s_alpha, 2)
-        return 0.5 * self._s_alpha
+        return self._x_half[1] * self._s_alpha
 
     @cached_property
     def term_psi(self):
         """-G_{a,alpha,1}(x), reconstructed from the integer accumulators."""
-        if self.spec.exact:
-            return -self.x * self._sum_alpha_minus_one + self._s_floor + Fraction(self._s_alpha, 2)
-        return -float(self.x) * self._sum_alpha_minus_one + self._s_floor + 0.5 * self._s_alpha
+        x, half = self._x_half
+        return -x * self._sum_alpha_minus_one + self._s_floor + half * self._s_alpha
 
     def terms(self):
         return (self.term_main, self.term_power, self.term_half, self.term_psi)

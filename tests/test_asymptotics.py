@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -13,9 +16,11 @@ from cwlab.asymptotics import (
     euler_maclaurin_partial_sum,
     main_term_root_restricted,
     main_term_sqrt_restricted,
+    restricted_model,
     root_restricted_model,
     sqrt_restricted_model,
 )
+from cwlab.cli import main
 from cwlab.divisors import DivisorSpec
 from cwlab.summatory import summatory_fast
 
@@ -80,6 +85,31 @@ def test_root_model_coefficients():
         main_term_root_restricted(100, -1, 3)
 
 
+def test_restricted_model_is_both_builders():
+    for alpha in (0, 0.0, 1, Fraction(1, 2), 2.5):
+        for cw in (False, True):
+            assert restricted_model(alpha, 2, cw) == sqrt_restricted_model(alpha, cw)
+            assert restricted_model(alpha, 3, cw) == root_restricted_model(alpha, 3)
+    assert restricted_model(1) == sqrt_restricted_model(1)
+    for a in (1, 0, 2.0, True):
+        with pytest.raises(ValueError):
+            restricted_model(1, a)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_restricted_model_rejects_non_finite(bad):
+    for a in (2, 3):
+        with pytest.raises(ValueError, match="finite"):
+            restricted_model(bad, a)
+        with pytest.raises(ValueError, match="finite"):
+            restricted_model(1, a).evaluate(bad)
+    with pytest.raises(ValueError, match="finite"):
+        error_exponent(bad)
+    for x in (0, -5):  # log x is -inf or complex there
+        with pytest.raises(ValueError, match="> 0"):
+            restricted_model(1).evaluate(x)
+
+
 def test_model_terms_strictly_decreasing():
     for model in (
         sqrt_restricted_model(0),
@@ -130,3 +160,41 @@ def test_iannucci_baseline_residual_linear():
         with mp.workdps(50):
             resid = mp.mpf(exact) - mp.mpf(2) / 3 * mp.power(x, mp.mpf(3) / 2)
             assert abs(resid) / x <= 1
+
+
+# Bit-for-bit gate on the main-term models: a SHA-256 over the repr of every
+# model's terms, theta and assumes_cw plus its 45-digit value at MODEL_X, for
+# exact, Fraction and float alpha (0 and 0.0 included) at a = 2 (both cw) and
+# a = 3, 4, 5, 7, and over `cwlab asympt` CSV and JSON output, which prints
+# the exponents as text (x^1 for exact alpha, x^1.0 for float alpha).
+MODEL_SHA256 = "76acdb5d34469d6b2ba244c1b71ddd56a0f51ecd8397ce4c58a69db2683d3b1b"
+MODEL_ITEMS = 80
+MODEL_X = 12345678901
+MODEL_ALPHAS = (0, 1, 2, 3, Fraction(1, 2), Fraction(7, 3), 0.0, 0.5, 1.0, 2.5, 3.0)
+ASYMPT_ARGS = tuple(
+    [*alpha, *fmt]
+    for alpha in (["--alpha", "0"], ["--alpha", "1"], ["--alpha", "1.0"], ["--alpha", "0.0"],
+                  ["--alpha", "1/2"], ["--alpha", "3/2", "--cw", "true"], ["--a", "3", "--alpha", "2.5"])
+    for fmt in ([], ["--format", "json"])
+)
+
+
+def model_items():
+    models = [sqrt_restricted_model(alpha, cw) for alpha in MODEL_ALPHAS for cw in (False, True)]
+    models += [root_restricted_model(alpha, a) for a in (3, 4, 5, 7) for alpha in MODEL_ALPHAS]
+    for model in models:
+        with mp.workdps(60):
+            yield repr((model.terms, model.theta, model.assumes_cw, mp.nstr(model.evaluate(MODEL_X), 45)))
+    for args in ASYMPT_ARGS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["asympt", "--x", str(MODEL_X), *args]) == 0
+        yield out.getvalue()
+
+
+def test_model_outputs_hash():
+    h, count = hashlib.sha256(), 0
+    for item in model_items():
+        h.update(item.encode())
+        count += 1
+    assert (h.hexdigest(), count) == (MODEL_SHA256, MODEL_ITEMS)

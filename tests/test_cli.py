@@ -144,6 +144,38 @@ def test_invalid_input_exit_2():
     assert err.startswith("error:")
 
 
+# each subcommand with valid arguments, and the options that take a number in it
+NUMBER_OPTIONS = (
+    (["divisor", "--n", "10"], ("--n", "--a", "--alpha")),
+    (["gsum", "--j", "1", "--x", "100"], ("--a", "--alpha", "--j", "--x")),
+    (["bw", "--n", "3", "--x", "100"], ("--n", "--x", "--shift-a", "--shift-b")),
+    (["summatory", "--x", "100"], ("--a", "--alpha", "--x")),
+    (["asympt", "--x", "100"], ("--a", "--alpha", "--x")),
+    (["pairs", "--word", "BA", "--j", "2", "--a", "3"], ("--a", "--j", "--alpha")),
+    (["fit", "--grid", "100:2:3"], ("--a", "--alpha")),
+    (["fit", "--j", "1", "--grid", "100:2:3"], ("--a", "--alpha", "--j")),
+)
+
+
+def test_malformed_numbers_exit_2():
+    for base, options in NUMBER_OPTIONS:
+        assert run(base)[0] == 0
+        for option in options:
+            for bad in ("1/0", "nan", "inf", "1e400"):
+                argv = [*base, option, bad]
+                code, out, err = run(argv)
+                assert (code, out) == (2, ""), argv
+                assert err.count("error:") == 1 and err.startswith("error:"), (argv, err)
+                assert "Traceback" not in err, argv
+
+
+def test_pairs_a_outside_theorem4_exit_2():
+    for a in ("1", "0", "-3"):
+        code, out, err = run(["pairs", "--word", "BA", "--j", "2", "--a", a])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
 def test_float_mode_x_beyond_int64_exit_2():
     code, _, err = run(["summatory", "--x", "18446744073709551623", "--alpha", "1.0",
                         "--mode", "fast"])

@@ -86,6 +86,13 @@ def test_spec_validation():
     GSumSpec(2, -1, 0, 10)             # j=0 allows any real alpha
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_spec_rejects_non_finite(bad):
+    for args in ((bad, 0, 1, 10), (2, bad, 0, 10), (2, bad, 1, 10), (2, 0, 1, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            GSumSpec(*args)
+
+
 def test_g_sum_examples():
     assert g_sum(GSumSpec(2, 0, 1, 4)) == -1
     assert g_sum(GSumSpec(2, 0, 0, 9)) == 3
@@ -189,6 +196,12 @@ def test_shifted_psi_block_validation():
         shifted_psi_block_sum(5, 16, 0, 0)   # N > sqrt(x)
     with pytest.raises(ValueError):
         shifted_psi_block_sum(3, 0.5, 0, 0)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_shifted_psi_block_rejects_non_finite_x(bad):
+    with pytest.raises(ValueError, match="finite"):
+        shifted_psi_block_sum(3, bad)
 
 
 SHIFTS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))

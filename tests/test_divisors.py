@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from math import isqrt
@@ -31,6 +32,12 @@ def test_spec_validation():
         DivisorSpec(2, -1)
     assert DivisorSpec(2, 0).exact
     assert not DivisorSpec(2, 0.0).exact
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_spec_rejects_non_finite_alpha(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DivisorSpec(2, bad)
 
 
 def test_integer_root_examples():
