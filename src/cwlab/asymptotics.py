@@ -197,6 +197,7 @@ def euler_maclaurin_partial_sum(x, a, beta, dps: int = DEFAULT_DPS):
     the cutoff uses the exact integer floor, so perfect a-th powers land on
     psi = -1/2 exactly.
     """
+    require_finite(x=x, a=a, beta=beta)
     if beta < -1:
         raise ValueError("beta must be >= -1")
     if x < 1:

@@ -123,7 +123,11 @@ def _parse_grid(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be x0:ratio:count, got {text!r}")
-    return GridSpec(int(parts[0]), float(parts[1]), int(parts[2]))
+    x0, ratio, count = int(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        return GridSpec(x0, ratio, count)
+    except ValueError as exc:  # argparse then shows this message, which names the field
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -340,6 +344,7 @@ def _cmd_asympt(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
+    divisors.require_finite(a=args.a, alpha=args.alpha)
     k_str, _, l_str = args.seed.partition(",")
     seed = ExponentPair(parse_rational(k_str), parse_rational(l_str))
     result = apply_word(args.word, seed)

@@ -6,11 +6,18 @@ function tau_a.  The membership test is always the integer comparison
 d**a <= n — never a floating root, which misclassifies perfect powers.
 
 The per-n functions enumerate divisors by trial division over d <= isqrt(n)
-in int64 numpy chunks, behind a work budget of isqrt(n) <= 10**8.  Every n
-the budget accepts is below (10**8 + 1)**2 < 2**63, so n, d and n % d are
-exact int64 values; the sums over the divisors run on Python ints, so they
-cannot wrap.  The batch sieves use int64 arrays behind explicit magnitude
-guards and refuse rather than risk wrapping.
+in numpy chunks, behind a work budget of isqrt(n) <= 10**8.  Below n = 2**53
+the test is in float64: n and every d are exact floats, and d divides n
+exactly when fl(n / d) is an integer.  If d | n, n / d is an integer below
+2**53, so the correctly rounded quotient is n / d itself.  If not, n / d lies
+at least 1/d from every integer (its fractional part is r/d with
+1 <= r <= d - 1), and the rounding error is at most (n / d) * 2**-53 < 1/d,
+so fl(n / d) is no integer either.  A float division and floor cost a fraction
+of the hardware integer division of an int64 n % d.  From 2**53 on the test
+is n % d in int64: every n the budget accepts is below (10**8 + 1)**2 < 2**63,
+so n, d and n % d are exact int64 values.  The sums over the divisors run on
+Python ints, so they cannot wrap.  The batch sieves use int64 arrays behind
+explicit magnitude guards and refuse rather than risk wrapping.
 """
 
 from __future__ import annotations
@@ -24,7 +31,11 @@ import numpy as np
 
 # work budget of _divisors in trial divisions (n < 1e16); about 0.5 s at the edge on a 2-vCPU x86-64 host
 _TRIAL_DIVISION_LIMIT = 10**8
-_TRIAL_CHUNK = 1 << 14  # trial divisors per int64 chunk, as summatory._FAST_CHUNK
+_TRIAL_CHUNK = 1 << 14  # trial divisors per chunk, as summatory._FAST_CHUNK
+# float64 0, 1, ..., 2^14, read-only: the float d chunks of _divisors and of
+# summatory._d_chunks are slices of it or _BASE[:k] + start written into a row
+_BASE = np.arange(_TRIAL_CHUNK + 1, dtype=np.float64)
+_BASE.flags.writeable = False
 
 
 def require_finite(**values) -> None:
@@ -95,9 +106,14 @@ def integer_root(n: int, a: int) -> int:
 def _divisors(n: int) -> list[int]:
     """All divisors of n >= 1 in ascending order, by trial division up to isqrt(n).
 
-    The d <= isqrt(n) run in int64 chunks of _TRIAL_CHUNK, each keeping
-    d[n % d == 0], so memory stays bounded whatever n is; the cofactors n // d
-    follow in reverse.  Exact: the budget keeps n below 2**63 (module docstring).
+    The d <= isqrt(n) run in chunks of _TRIAL_CHUNK, so memory stays bounded
+    whatever n is; the cofactors n // d follow in reverse.  Below n = 2**53 a
+    chunk is float64 and keeps the d with fl(n / d) == floor(fl(n / d)), exact
+    by the module docstring's argument: the first chunk, or the only one while
+    isqrt(n) <= 2**14, is a slice of _BASE, later ones _BASE[:k] + start in one
+    row, and the quotients go to rows allocated once per call.  From 2**53 on a
+    chunk is int64 and keeps d[n % d == 0], exact since the budget keeps n
+    below 2**63.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -105,9 +121,29 @@ def _divisors(n: int) -> list[int]:
     if r > _TRIAL_DIVISION_LIMIT:
         raise ValueError(f"sqrt(n) exceeds the work budget of {_TRIAL_DIVISION_LIMIT} trial divisions")
     small = []
-    for start in range(1, r + 1, _TRIAL_CHUNK):
-        d = np.arange(start, min(start + _TRIAL_CHUNK, r + 1), dtype=np.int64)
-        small += d[n % d == 0].tolist()
+    if n >= 2**53:
+        for start in range(1, r + 1, _TRIAL_CHUNK):
+            d = np.arange(start, min(start + _TRIAL_CHUNK, r + 1), dtype=np.int64)
+            small += d[n % d == 0].tolist()
+    elif r < len(_BASE):  # one chunk, a slice of _BASE: no rows
+        q = float(n) / _BASE[1 : r + 1]
+        hits = (q == np.floor(q)).nonzero()[0]
+        hits += 1
+        small = hits.tolist()
+    else:
+        x = float(n)
+        d_row, q_row, f_row = np.empty((3, _TRIAL_CHUNK))
+        hit_row = np.empty(_TRIAL_CHUNK, dtype=bool)
+        for start in range(1, r + 1, _TRIAL_CHUNK):
+            k = min(_TRIAL_CHUNK, r + 1 - start)
+            if start + k <= len(_BASE):
+                d = _BASE[start : start + k]
+            else:
+                d = np.add(_BASE[:k], start, out=d_row[:k])
+            q = np.divide(x, d, out=q_row[:k])
+            hits = np.equal(q, np.floor(q, out=f_row[:k]), out=hit_row[:k]).nonzero()[0]
+            hits += start
+            small += hits.tolist()
     return small + [n // d for d in reversed(small) if d * d != n]
 
 

@@ -20,7 +20,7 @@ from mpmath import mp
 
 from .asymptotics import DEFAULT_DPS, MainTermModel
 from .cw_sums import GSumSpec, g_sum
-from .divisors import DivisorSpec
+from .divisors import DivisorSpec, require_finite
 from .summatory import summatory_fast
 
 RESIDUAL_X_LIMIT = 10**12
@@ -40,7 +40,8 @@ class GridSpec:
     def __post_init__(self):
         if self.x0 < 10:
             raise ValueError("grid start must be >= 10")
-        if self.ratio <= 1:
+        require_finite(**{"grid ratio": self.ratio})
+        if not self.ratio > 1:
             raise ValueError("grid ratio must exceed 1")
         if self.count < 3:
             raise ValueError("grid needs at least 3 points")

@@ -36,14 +36,15 @@ at alpha = 2 up to D of about 2.37e7.
 
 The chunk kernels below x = 2^53 (exact alpha 0 and 1, float mode, and
 float G in cw_sums) take d as float64 and build no array per chunk.
-_d_chunks(..., as_float=True) gives d as a slice of _BASE = 0, 1, ..., 2^14
-in float64 or, past it, as _BASE[:n] + start written into one row: both
-addends and the sum are integers below 2^53, so d is exact, with no int64
-arange and no cast.  Either way the chunk is read-only: the float weights
-d^alpha come from _float_weights, d itself at alpha = 1, else raised in a
-row of the caller.  Every other intermediate is written with out= into a
-few float64 rows of min(range, _FAST_CHUNK) entries, the workspace,
-allocated once per call, so a tiny call allocates a few hundred bytes.
+_d_chunks(..., as_float=True) gives d as a slice of divisors._BASE = 0, 1,
+..., 2^14 in float64 or, past it, as _BASE[:n] + start written into one
+row: both addends and the sum are integers below 2^53, so d is exact, with
+no int64 arange and no cast.  Either way the chunk is read-only: the float
+weights d^alpha come from _float_weights, d itself at alpha = 1, else
+raised in a row of the caller.  Every other intermediate is written with
+out= into a few float64 rows of min(range, _FAST_CHUNK) entries, the
+workspace, allocated once per call, so a tiny call allocates a few hundred
+bytes.
 Exact sums stay exact: at alpha = 1 every x mod d is below d <= D < 2^27,
 so a chunk of at most 2^14 sums below 2^41, and a float sum of nonnegative
 integers is exact while its total is below 2^53, since every partial sum
@@ -67,15 +68,11 @@ from functools import cached_property
 import numpy as np
 
 from .bernoulli import MAX_DEGREE, _scaled_coefficients
-from .divisors import DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
+from .divisors import _BASE, DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
-_FAST_CHUNK = 1 << 14  # _BASE below must be longer than any chunk
-# float64 0, 1, ..., _FAST_CHUNK, read-only: a float d chunk (_d_chunks) is a
-# slice of it or _BASE[:n] + start
-_BASE = np.arange(_FAST_CHUNK + 1, dtype=np.float64)
-_BASE.flags.writeable = False
+_FAST_CHUNK = 1 << 14  # divisors._BASE must be longer than any chunk
 # work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
 # is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
 # at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks

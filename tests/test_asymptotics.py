@@ -151,6 +151,13 @@ def test_em_rejects_bad_beta():
         euler_maclaurin_partial_sum(100, 2, -1.5)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_em_rejects_non_finite(bad):
+    for name, args in (("x", (bad, 2, 1)), ("a", (100, bad, 1)), ("beta", (100, 2, bad))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            euler_maclaurin_partial_sum(*args)
+
+
 def test_iannucci_baseline_residual_linear():
     # exact summatory minus (2/3) x^(3/2) stays O(x): ratio bounded
     spec = DivisorSpec(2, 1)

@@ -169,6 +169,22 @@ def test_malformed_numbers_exit_2():
                 assert "Traceback" not in err, argv
 
 
+def test_pairs_non_finite_without_j_exit_2():
+    for option in ("--a", "--alpha"):
+        for bad in ("nan", "inf", "-inf"):
+            code, out, err = run(["pairs", "--word", "BA", f"{option}={bad}"])
+            assert (code, out) == (2, ""), (option, bad)
+            assert err.count("error:") == 1 and err.startswith("error:"), (option, bad, err)
+            assert "finite" in err, err
+
+
+def test_fit_non_finite_grid_ratio_exit_2():
+    for bad in ("nan", "inf"):
+        code, out, err = run(["fit", "--grid", f"100:{bad}:3"])
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and "grid ratio must be finite" in err, err
+
+
 def test_pairs_a_outside_theorem4_exit_2():
     for a in ("1", "0", "-3"):
         code, out, err = run(["pairs", "--word", "BA", "--j", "2", "--a", a])

@@ -211,19 +211,54 @@ def test_divisors_match_sympy():
         _check_divisors(n, sympy.divisors(n))
 
 
+def test_divisors_float_limit():
+    # the float64 test runs below 2**53, the int64 one from there on: the
+    # neighbours of 2**53, the largest prime below it, a prime square below it
+    # and a product of two close primes just above it.  float(n) rounds from
+    # 2**53 + 1 on (2**53 + 1 would read as 2**53), so a float test there would
+    # list wrong divisors.  A Python loop to isqrt(n) = 9.5e7 takes about 9 s
+    # per n, so the oracle is sympy's factorization.
+    sympy = pytest.importorskip("sympy")
+    p, q = 94906249, 94906297
+    assert sympy.isprime(p) and sympy.nextprime(p) == q and p * p < 2**53 < p * q
+    assert sympy.prevprime(2**53) == 9007199254740881
+    for n in (2**53 - 1, 2**53, 2**53 + 1, 9007199254740881, p * p, p * q):
+        want = sympy.divisors(n)
+        assert all(n % d == 0 for d in want)
+        _check_divisors(n, want)
+
+
+def test_divisors_chunk_edges_int64():
+    # on the int64 path isqrt(n) ends a full chunk, then sits alone in the last one
+    sympy = pytest.importorskip("sympy")
+    r0 = (isqrt(2**53) // _TRIAL_CHUNK + 1) * _TRIAL_CHUNK
+    for r in (r0, r0 + 1):
+        assert r * r >= 2**53
+        _check_divisors(r * r, sympy.divisors(r * r))
+
+
 def test_divisors_budget_edge():
     # the largest n the budget accepts are exact int64 values: a prime below
     # 10**16 and 10**16 = 2**16 5**16 itself, each about 0.5 s; the
-    # temporaries are one chunk's, whatever n is
+    # temporaries are one chunk's, whatever n is, on the int64 path and on
+    # the float64 one (the largest prime below 2**53)
     assert (_TRIAL_DIVISION_LIMIT + 1) ** 2 - 1 < 2**63
-    tracemalloc.start()
-    try:
-        assert tau(9999999999999937) == 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
+    for n in (9999999999999937, 9007199254740881):
+        tracemalloc.start()
+        try:
+            assert tau(n) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (n, peak)
     assert tau(10**16) == 289
+
+
+def test_one_float_base():
+    # the float d chunks of _divisors and of summatory._d_chunks share one read-only base
+    assert summatory._BASE is divisors._BASE
+    assert not divisors._BASE.flags.writeable
+    assert len(divisors._BASE) > max(_TRIAL_CHUNK, summatory._FAST_CHUNK)
 
 
 @pytest.mark.parametrize("a", (2, 3, 4))

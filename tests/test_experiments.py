@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -23,6 +24,9 @@ def test_grid_validation():
         GridSpec(10, 1.0, 10)
     with pytest.raises(ValueError):
         GridSpec(10, 2.0, 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="grid ratio"):
+            GridSpec(10, bad, 10)
 
 
 def test_grid_points_increasing_dedup():
