@@ -5,19 +5,29 @@ a = 2 gives the half-range sum sigma~_alpha, alpha = 0 gives the counting
 function tau_a.  The membership test is always the integer comparison
 d**a <= n — never a floating root, which misclassifies perfect powers.
 
-The per-n functions enumerate divisors by trial division over d <= isqrt(n)
-in numpy chunks, behind a work budget of isqrt(n) <= 10**8.  Below n = 2**53
-the test is in float64: n and every d are exact floats, and d divides n
-exactly when fl(n / d) is an integer.  If d | n, n / d is an integer below
-2**53, so the correctly rounded quotient is n / d itself.  If not, n / d lies
-at least 1/d from every integer (its fractional part is r/d with
-1 <= r <= d - 1), and the rounding error is at most (n / d) * 2**-53 < 1/d,
-so fl(n / d) is no integer either.  A float division and floor cost a fraction
-of the hardware integer division of an int64 n % d.  From 2**53 on the test
-is n % d in int64: every n the budget accepts is below (10**8 + 1)**2 < 2**63,
-so n, d and n % d are exact int64 values.  The sums over the divisors run on
-Python ints, so they cannot wrap.  The batch sieves use int64 arrays behind
-explicit magnitude guards and refuse rather than risk wrapping.
+The per-n functions enumerate divisors by trial division behind a work
+budget of isqrt(n) <= 10**8.  While isqrt(n) <= 2**14 every d <= isqrt(n)
+is tried in one chunk.  Past that only the odd d <= isqrt(n) are tried, on
+the odd part m of n = 2**k m: an odd d divides n exactly when it divides m,
+and every divisor d <= isqrt(n) of n is 2**i t with t odd, t | m and
+t <= d, so the divisors up to isqrt(n) are the 2**i t <= isqrt(n) with
+i <= k, and the rest are their cofactors n // d.  The bound stays isqrt(n),
+not isqrt(m): the work is then a function of the size of n alone, where
+stopping at isqrt(m) would make it swing by a factor 2**(k/2) with the
+2-adic valuation k of n.  Below m = 2**53 the test is in float64: m and
+every d are exact floats, and d divides m exactly when fl(m / d) is an
+integer.  If d | m, m / d is an integer below 2**53, so the correctly
+rounded quotient is m / d itself.  If not, m / d lies at least 1/d from
+every integer (its fractional part is r/d with 1 <= r <= d - 1), and the
+rounding error is at most (m / d) * 2**-53 < 1/d, so fl(m / d) is no
+integer either.  The argument needs only m < 2**53, so an even n >= 2**53
+whose odd part is below 2**53 takes the float test too.  A float division
+and floor cost a fraction of the hardware integer division of an int64
+m % d.  From 2**53 on the test is m % d in int64: every n the budget
+accepts is below (10**8 + 1)**2 < 2**63, so m, d and m % d are exact int64
+values.  The sums over the divisors run on Python ints, so they cannot wrap.
+The batch sieves use int64 arrays behind explicit magnitude guards and
+refuse rather than risk wrapping.
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ from math import isqrt
 
 import numpy as np
 
-# work budget of _divisors in trial divisions (n < 1e16); about 0.5 s at the edge on a 2-vCPU x86-64 host
+# work budget of _divisors: isqrt(n) <= this (n < 1e16); about 0.2 s for a prime at the edge on a 2-vCPU x86-64 host
 _TRIAL_DIVISION_LIMIT = 10**8
 _TRIAL_CHUNK = 1 << 14  # trial divisors per chunk, as summatory._FAST_CHUNK
-# float64 0, 1, ..., 2^14, read-only: the float d chunks of _divisors and of
-# summatory._d_chunks are slices of it or _BASE[:k] + start written into a row
+# float64 0, 1, ..., 2^14, read-only: the float d chunks of summatory._d_chunks
+# are slices of it or _BASE[:k] + start written into a row; _divisors takes a
+# slice for one chunk, and past that the odd d 2 * _BASE[:-1] + 1 into a row
 _BASE = np.arange(_TRIAL_CHUNK + 1, dtype=np.float64)
 _BASE.flags.writeable = False
 
@@ -106,45 +117,60 @@ def integer_root(n: int, a: int) -> int:
 def _divisors(n: int) -> list[int]:
     """All divisors of n >= 1 in ascending order, by trial division up to isqrt(n).
 
-    The d <= isqrt(n) run in chunks of _TRIAL_CHUNK, so memory stays bounded
-    whatever n is; the cofactors n // d follow in reverse.  Below n = 2**53 a
-    chunk is float64 and keeps the d with fl(n / d) == floor(fl(n / d)), exact
-    by the module docstring's argument: the first chunk, or the only one while
-    isqrt(n) <= 2**14, is a slice of _BASE, later ones _BASE[:k] + start in one
-    row, and the quotients go to rows allocated once per call.  From 2**53 on a
-    chunk is int64 and keeps d[n % d == 0], exact since the budget keeps n
-    below 2**63.
+    While isqrt(n) <= 2**14 one float64 chunk, a slice of _BASE, keeps the
+    d with fl(n / d) == floor(fl(n / d)).  Past that, n = 2**k m with m odd:
+    _odd_divisors_upto(m, isqrt(n)) gives the odd t <= isqrt(n) dividing m,
+    and the divisors up to isqrt(n) are the 2**i t <= isqrt(n) with i <= k.
+    Either way the cofactors n // d follow in reverse.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     r = isqrt(n)
     if r > _TRIAL_DIVISION_LIMIT:
         raise ValueError(f"sqrt(n) exceeds the work budget of {_TRIAL_DIVISION_LIMIT} trial divisions")
-    small = []
-    if n >= 2**53:
-        for start in range(1, r + 1, _TRIAL_CHUNK):
-            d = np.arange(start, min(start + _TRIAL_CHUNK, r + 1), dtype=np.int64)
-            small += d[n % d == 0].tolist()
-    elif r < len(_BASE):  # one chunk, a slice of _BASE: no rows
+    if r < len(_BASE):  # one chunk, a slice of _BASE: no rows
         q = float(n) / _BASE[1 : r + 1]
         hits = (q == np.floor(q)).nonzero()[0]
         hits += 1
         small = hits.tolist()
     else:
-        x = float(n)
-        d_row, q_row, f_row = np.empty((3, _TRIAL_CHUNK))
-        hit_row = np.empty(_TRIAL_CHUNK, dtype=bool)
-        for start in range(1, r + 1, _TRIAL_CHUNK):
-            k = min(_TRIAL_CHUNK, r + 1 - start)
-            if start + k <= len(_BASE):
-                d = _BASE[start : start + k]
-            else:
-                d = np.add(_BASE[:k], start, out=d_row[:k])
-            q = np.divide(x, d, out=q_row[:k])
-            hits = np.equal(q, np.floor(q, out=f_row[:k]), out=hit_row[:k]).nonzero()[0]
-            hits += start
-            small += hits.tolist()
+        k = (n & -n).bit_length() - 1
+        small = sorted(t << i for t in _odd_divisors_upto(n >> k, r) for i in range(k + 1) if t << i <= r)
     return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _odd_divisors_upto(m: int, r: int) -> list[int]:
+    """The odd d <= r that divide m >= 1, ascending, by trial division.
+
+    The odd d run in chunks of _TRIAL_CHUNK, so memory stays bounded
+    whatever r is.  Below m = 2**53 a chunk is float64 and keeps the d with
+    fl(m / d) == floor(fl(m / d)), exact by the module docstring's argument:
+    the d are one row, 2 * _BASE[:-1] + 1 moved up by 2 * _TRIAL_CHUNK a
+    chunk, and the quotients go to rows allocated once per call.  From
+    2**53 on a chunk is int64 and keeps d[m % d == 0], exact since the
+    budget keeps m below 2**63.
+    """
+    span = 2 * _TRIAL_CHUNK  # integers spanned by a chunk of odd d
+    small = []
+    if m >= 2**53:
+        for start in range(1, r + 1, span):
+            d = np.arange(start, min(start + span, r + 1), 2, dtype=np.int64)
+            small += d[m % d == 0].tolist()
+        return small
+    x = float(m)
+    d_row, q_row, f_row = np.empty((3, _TRIAL_CHUNK))
+    hit_row = np.empty(_TRIAL_CHUNK, dtype=bool)
+    np.multiply(_BASE[:-1], 2.0, out=d_row)
+    d_row += 1.0
+    for start in range(1, r + 1, span):  # d_row[0] == start
+        j = min(_TRIAL_CHUNK, (r - start) // 2 + 1)  # the odd d in [start, r]
+        q = np.divide(x, d_row[:j], out=q_row[:j])
+        hits = np.equal(q, np.floor(q, out=f_row[:j]), out=hit_row[:j]).nonzero()[0]
+        hits *= 2
+        hits += start
+        small += hits.tolist()
+        d_row += span
+    return small
 
 
 def divisor_sum_restricted(n: int, spec: DivisorSpec):

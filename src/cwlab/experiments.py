@@ -38,6 +38,10 @@ class GridSpec:
     count: int = 25
 
     def __post_init__(self):
+        for name in ("x0", "count"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"grid {name} must be an int, got {v!r}")
         if self.x0 < 10:
             raise ValueError("grid start must be >= 10")
         require_finite(**{"grid ratio": self.ratio})
@@ -45,6 +49,13 @@ class GridSpec:
             raise ValueError("grid ratio must exceed 1")
         if self.count < 3:
             raise ValueError("grid needs at least 3 points")
+        try:  # the last point is the largest; every earlier one is finite with it
+            last = self.x0 * float(self.ratio) ** (self.count - 1)
+        except OverflowError:
+            last = math.inf
+        if last == math.inf:
+            raise ValueError(f"grid ratio {self.ratio!r} and count {self.count} overflow a float: "
+                             "the last point x0 * ratio**(count - 1) exceeds 1.8e308")
 
     def points(self) -> list[int]:
         pts = sorted({round(self.x0 * self.ratio**i) for i in range(self.count)})

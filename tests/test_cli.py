@@ -185,6 +185,12 @@ def test_fit_non_finite_grid_ratio_exit_2():
         assert err.count("error:") == 1 and "grid ratio must be finite" in err, err
 
 
+def test_fit_overflowing_grid_exit_2():
+    code, out, err = run(["fit", "--grid", "100:1e300:5", "--alpha", "1"])
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "argument --grid: grid ratio 1e+300 and count 5 overflow" in err, err
+
+
 def test_pairs_a_outside_theorem4_exit_2():
     for a in ("1", "0", "-3"):
         code, out, err = run(["pairs", "--word", "BA", "--j", "2", "--a", a])

@@ -190,9 +190,11 @@ def test_divisors_match_loop():
 
 
 def test_divisors_chunk_edges():
-    # isqrt(n) at the end of a chunk, one past it and one short of it
+    # isqrt(n) at the end of a chunk, one past it and one short of it: the
+    # one chunk of every d ends at 2**14, the chunks of odd d past it at
+    # 2**15 and 2**16
     for r in (_TRIAL_CHUNK - 1, _TRIAL_CHUNK, _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK - 1, 2 * _TRIAL_CHUNK,
-              2 * _TRIAL_CHUNK + 1):
+              2 * _TRIAL_CHUNK + 1, 4 * _TRIAL_CHUNK - 1, 4 * _TRIAL_CHUNK, 4 * _TRIAL_CHUNK + 1):
         for n in (r * r - 1, r * r, r * r + 1, r * (r + 1)):
             _check_divisors(n, _loop_divisors(n))
 
@@ -237,9 +239,74 @@ def test_divisors_chunk_edges_int64():
         _check_divisors(r * r, sympy.divisors(r * r))
 
 
+def test_divisors_odd_chunk_edges():
+    # past one chunk only the odd d are tried, on the odd part m of
+    # n = 2**k m: isqrt(m) around the chunk edges, for odd m alone and for
+    # 2**k m
+    for r in (_TRIAL_CHUNK - 1, _TRIAL_CHUNK, _TRIAL_CHUNK + 1, 2 * _TRIAL_CHUNK - 1, 2 * _TRIAL_CHUNK + 1,
+              4 * _TRIAL_CHUNK - 1, 4 * _TRIAL_CHUNK + 1):
+        odd = [m for m in (r * r, r * r + 1, r * r + 2, r * (r + 1) - 1, r * (r + 1) + 1, r * (r + 2)) if m % 2]
+        assert len(odd) >= 3 and all(isqrt(m) == r for m in odd)
+        for m in odd:
+            for k in (0, 1, 2, 5):
+                _check_divisors(m << k, _loop_divisors(m << k))
+
+
+def test_divisors_odd_chunk_edges_int64():
+    # odd n >= 2**53, tried by odd d in int64 chunks of _TRIAL_CHUNK odd d
+    # that span 2 * _TRIAL_CHUNK integers: with r0 a multiple of the span,
+    # the chunk that ends below r0 holds d = r0 - 1 in its last slot, and
+    # d = r0 + 1 sits alone in the next one; then r0 a multiple of
+    # _TRIAL_CHUNK alone, the middle of a chunk
+    sympy = pytest.importorskip("sympy")
+    for span in (2 * _TRIAL_CHUNK, _TRIAL_CHUNK):
+        r0 = (isqrt(2**53) // span + 1) * span
+        for n in ((r0 - 1) * (r0 + 1), r0 * r0 + 1, (r0 + 1) ** 2, (r0 + 1) * (r0 + 3)):
+            assert n % 2 and n >= 2**53
+            _check_divisors(n, sympy.divisors(n))
+
+
+def test_divisors_work_ignores_two_adic_valuation(monkeypatch):
+    # the odd part is tried up to isqrt(n) whatever the power of 2 in n, so
+    # the work depends on the size of n alone
+    bounds = []
+    real = divisors._odd_divisors_upto
+
+    def spy(m, r):
+        bounds.append(r)
+        return real(m, r)
+
+    monkeypatch.setattr(divisors, "_odd_divisors_upto", spy)
+    ns = (10**12 + 39, 10**12, 2**40, 3 * 2**38)
+    for n in ns:
+        _divisors(n)
+    assert bounds == [isqrt(n) for n in ns]
+
+
+def test_divisors_powers_of_two():
+    # the odd part m = 1: no trial division past d = 1, every divisor a shift
+    for e in range(54):
+        _check_divisors(2**e, [2**i for i in range(e + 1)])
+
+
+def test_divisors_two_adic_split_sympy():
+    # an even n >= 2**53 whose odd part is a prime below 2**53 (the float
+    # test), an odd n >= 2**53 (the int64 test), and 2**k times a prime near
+    # 2**40; twice the largest prime below 2**53 is past the work budget
+    sympy = pytest.importorskip("sympy")
+    p53 = sympy.nextprime(2**52)
+    p40 = sympy.prevprime(2**40)
+    ns = [2 * p53, 94906249 * 94906297, *(p40 << k for k in (1, 2, 5, 13))]
+    assert 2 * p53 >= 2**53 and p40 << 13 < 10**16
+    for n in ns:
+        _check_divisors(n, sympy.divisors(n))
+    with pytest.raises(ValueError, match="work budget"):
+        tau(2 * 9007199254740881)
+
+
 def test_divisors_budget_edge():
     # the largest n the budget accepts are exact int64 values: a prime below
-    # 10**16 and 10**16 = 2**16 5**16 itself, each about 0.5 s; the
+    # 10**16, about 0.25 s, and 10**16 = 2**16 5**16 itself; the
     # temporaries are one chunk's, whatever n is, on the int64 path and on
     # the float64 one (the largest prime below 2**53)
     assert (_TRIAL_DIVISION_LIMIT + 1) ** 2 - 1 < 2**63

@@ -27,6 +27,21 @@ def test_grid_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="grid ratio"):
             GridSpec(10, bad, 10)
+    # a non-int or bool x0 or count is refused by name, not later in points()
+    for args, field in (((math.nan, 2.0, 5), "x0"), ((10.0, 2.0, 5), "x0"), ((True, 2.0, 5), "x0"),
+                        ((10, 2.0, math.nan), "count"), ((10, 2.0, 4.5), "count"), ((10, 2.0, True), "count")):
+        with pytest.raises(ValueError, match=f"grid {field} must be an int"):
+            GridSpec(*args)
+
+
+def test_grid_refuses_float_overflow():
+    # a finite ratio whose last point x0 * ratio**(count - 1) leaves the float range
+    for args in ((100, 1e300, 5), (100, 2.0, 1100), (10**300, 10.0, 10)):
+        with pytest.raises(ValueError, match=r"ratio .* and count .* overflow a float"):
+            GridSpec(*args)
+    # the last point just inside the float range is accepted, and every point is finite
+    pts = GridSpec(10, 2.0, 1020).points()
+    assert len(pts) == 1020 and pts[-1] == 10 * 2**1019
 
 
 def test_grid_points_increasing_dedup():
