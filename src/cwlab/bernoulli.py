@@ -107,10 +107,7 @@ def bernoulli_func(j: int, x):
         raise ValueError("bernoulli_func requires degree >= 1")
     if j == 1:
         return psi(x)
-    f = frac_part(x)
-    if isinstance(f, float):
-        return float(_horner(bernoulli_coefficients(j), Fraction(f)))
-    return _horner(bernoulli_coefficients(j), f)
+    return bernoulli_poly(j, frac_part(x))
 
 
 def bernoulli_fourier_truncated(j: int, t, m_max: int) -> float:

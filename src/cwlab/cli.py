@@ -32,6 +32,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from mpmath import mp
@@ -47,70 +48,45 @@ MPF_DIGITS = 30
 
 
 def _fmt(v) -> str:
+    """str(v), except bool as true/false, mpf at MPF_DIGITS digits and None as ''."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, mp.mpf):
         return mp.nstr(v, MPF_DIGITS, strip_zeros=True)
-    if v is None:
-        return ""
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _jsonable(v):
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v
-    if isinstance(v, (Fraction, mp.mpf)):
-        return _fmt(v)
-    return str(v)
+    return v if v is None or isinstance(v, (bool, int, float)) else _fmt(v)
 
 
-def _emit(command: str, params: dict, rows: list[dict], args, extra: dict | None = None) -> None:
+def _emit(command: str, params: dict, rows: list[dict], args, fit: dict | None = None) -> None:
     """Format the whole output, then write it: a value too long to print
-    raises before any byte reaches stdout or --out is opened."""
+    raises before any byte reaches stdout or --out is opened.  With fit,
+    the result is a list and fit goes under "fit" (JSON) or as fit_*
+    columns on every row (CSV)."""
     try:
         if args.format == "json":
+            result = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
             payload = {
                 "command": command,
                 "params": {k: _jsonable(v) for k, v in params.items()},
+                "result": result if fit is not None else result[0],
             }
-            if len(rows) == 1 and extra is None:
-                payload["result"] = {k: _jsonable(v) for k, v in rows[0].items()}
-            else:
-                payload["result"] = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
-            if extra is not None:
-                payload.update({k: {kk: _jsonable(vv) for kk, vv in v.items()} if isinstance(v, dict) else _jsonable(v) for k, v in extra.items()})
+            if fit is not None:
+                payload["fit"] = {k: _jsonable(v) for k, v in fit.items()}
             text = json.dumps(payload) + "\n"
         else:
-            flat_extra = {}
-            if extra is not None:
-                for k, v in extra.items():
-                    if isinstance(v, dict):
-                        for kk, vv in v.items():
-                            flat_extra[f"{k}_{kk}"] = vv
-                    else:
-                        flat_extra[k] = v
+            rows = [r | {f"fit_{k}": v for k, v in (fit or {}).items()} for r in rows]
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(list(rows[0].keys()) + list(flat_extra.keys()))
-            for r in rows:
-                writer.writerow([_fmt(x) for x in list(r.values()) + list(flat_extra.values())])
+            writer.writerow(rows[0].keys())
+            writer.writerows([_fmt(v) for v in r.values()] for r in rows)
             text = buf.getvalue()
     except ValueError as exc:  # an int past Python's int-to-str digit limit
         raise ValueError(
             f"the exact value has more than {sys.get_int_max_str_digits()} digits, too many to print; "
-            "pass a float --alpha (e.g. 1.0) or a float --x to get a double-precision value"
+            f"{args.overlong_hint}"
         ) from exc
     if args.out is None:
         sys.stdout.write(text)
@@ -189,7 +165,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--a", type=int, default=2)
     sp.add_argument("--alpha", type=_parse_number, default=0)
     add_common(sp)
-    sp.set_defaults(func=_cmd_divisor)
+    sp.set_defaults(func=_cmd_divisor, overlong_hint="pass a smaller --alpha or --n")
 
     sp = sub.add_parser("gsum", help="Chowla-Walum sum G_{a,alpha,j}(x)")
     sp.add_argument("--a", type=_parse_number, default=2)
@@ -197,7 +173,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--x", type=_parse_number, required=True)
     add_common(sp)
-    sp.set_defaults(func=_cmd_gsum)
+    sp.set_defaults(func=_cmd_gsum, overlong_hint=(
+        "pass a float --alpha (e.g. 1.0) or a float --x to get a double-precision value"))
 
     sp = sub.add_parser("bw", help="block sum of psi(4x/(4n+a') + b'/4) over n in (N, 2N]")
     sp.add_argument("--n", type=int, required=True, help="block start N >= 3")
@@ -205,7 +182,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--shift-a", type=int, default=0, dest="shift_a")
     sp.add_argument("--shift-b", type=int, default=0, dest="shift_b")
     add_common(sp)
-    sp.set_defaults(func=_cmd_bw)
+    sp.set_defaults(func=_cmd_bw, overlong_hint=(
+        "pass a float --x (e.g. 1e11) to get a double-precision value"))
 
     sp = sub.add_parser("summatory", help="sum_{n<=x} sigma_{a,alpha}(n)")
     sp.add_argument("--a", type=int, default=2)
@@ -213,7 +191,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--mode", choices=("fast", "brute", "both"), default="fast")
     add_common(sp)
-    sp.set_defaults(func=_cmd_summatory)
+    sp.set_defaults(func=_cmd_summatory, overlong_hint="pass a smaller --alpha or --x")
 
     sp = sub.add_parser("asympt", help="main-term model values and error exponents")
     sp.add_argument("--a", type=int, default=2)
@@ -221,7 +199,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cw", type=_parse_bool, default=False)
     sp.add_argument("--x", type=_parse_number, default=None)
     add_common(sp)
-    sp.set_defaults(func=_cmd_asympt)
+    sp.set_defaults(func=_cmd_asympt, overlong_hint="pass an --alpha with fewer digits")
 
     sp = sub.add_parser("pairs", help="exponent-pair words and bound exponents")
     sp.add_argument("--word", default="")
@@ -230,7 +208,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--alpha", type=_parse_number, default=0)
     add_common(sp)
-    sp.set_defaults(func=_cmd_pairs)
+    sp.set_defaults(func=_cmd_pairs, overlong_hint="pass an --a or --alpha with fewer digits")
 
     sp = sub.add_parser("fit", help="residual series and log-log slope")
     sp.add_argument("--a", type=_parse_number, default=2)
@@ -240,7 +218,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cw", type=_parse_bool, default=False)
     sp.add_argument("--grid", type=_parse_grid, default=None, help="x0:ratio:count")
     add_common(sp)
-    sp.set_defaults(func=_cmd_fit)
+    sp.set_defaults(func=_cmd_fit, overlong_hint="pass a smaller --alpha")
 
     sp = sub.add_parser("verify", help="reduced-scale invariant suites")
     sp.set_defaults(func=_cmd_verify)
@@ -379,20 +357,10 @@ def _cmd_fit(args) -> int:
         spec = DivisorSpec(args.a, alpha)
         series = residual_series(spec, asymptotics.restricted_model(alpha, args.a, args.cw), grid)
         report = fit_loglog(series)
-        rows = [
-            {"x": p.x, "exact": p.exact, "model_value": p.model_value, "residual": p.residual}
-            for p in series
-        ]
+        rows = [asdict(p) for p in series]
         params = {"a": args.a, "alpha": args.alpha, "cw": args.cw,
                   "grid": f"{grid.x0}:{grid.ratio}:{grid.count}"}
-    fit_fields = {
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "max_abs_log_residual": report.max_abs_log_residual,
-        "n_points_used": report.n_points_used,
-        "n_dropped_zero": report.n_dropped_zero,
-    }
-    _emit("fit", params, rows, args, extra={"fit": fit_fields})
+    _emit("fit", params, rows, args, fit=asdict(report))
     return 0
 
 

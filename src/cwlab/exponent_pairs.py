@@ -73,11 +73,18 @@ def transform_B(p: ExponentPair) -> ExponentPair:
     return ExponentPair(p.l - HALF, p.k + HALF)
 
 
-_WORD_TOKEN = re.compile(r"([AB])(?:\^(\d+))?")
+# the count's leading zeros stay outside the group, so its digits bound its size
+_WORD_TOKEN = re.compile(r"([AB])(?:\^0*(\d+))?")
+_MAX_WORD_LETTERS = 4096
 
 
 def parse_word(word: str) -> list[str]:
-    """Expand a transform word like 'BA^2' into its letter sequence."""
+    """Expand a transform word like 'BA^2' into its letter sequence.
+
+    A word of more than _MAX_WORD_LETTERS letters is refused before more
+    than that many are expanded; a count with more digits than the cap is
+    refused unread.
+    """
     word = word.strip()
     letters: list[str] = []
     pos = 0
@@ -85,7 +92,10 @@ def parse_word(word: str) -> list[str]:
         m = _WORD_TOKEN.match(word, pos)
         if m is None:
             raise ValueError(f"malformed transform word {word!r} at position {pos}")
-        count = int(m.group(2)) if m.group(2) else 1
+        digits = m.group(2) or "1"
+        count = int(digits) if len(digits) <= len(str(_MAX_WORD_LETTERS)) else _MAX_WORD_LETTERS + 1
+        if len(letters) + count > _MAX_WORD_LETTERS:
+            raise ValueError(f"transform word {word!r} has more than {_MAX_WORD_LETTERS} letters")
         letters.extend(m.group(1) * count)
         pos = m.end()
     return letters

@@ -368,20 +368,13 @@ def _fraction_sum(num, base, e: int = 1) -> tuple[int, int]:
     denominators.  An int64 array of at least _INT64_TREE_FLOOR leaves runs
     its first levels in numpy, as many as _int64_levels proves stay below
     2**63; the rest, and any other input, runs on Python ints, where nothing
-    can overflow, taken from arrays in slices of 1024, which keeps the peak
-    memory low.
+    can overflow.  The callers pass arrays of one _d_chunks chunk, at most
+    _FAST_CHUNK leaves, which bounds the Python-int tree and its peak memory.
     """
     if isinstance(base, np.ndarray):
         if len(base) >= _INT64_TREE_FLOOR and base.dtype == np.int64:
             num, base = _int64_levels(num, base, e)
-        if len(base) <= 1024:
-            num, base = num.tolist(), base.tolist()
-        else:
-            parts = [
-                _fraction_sum(num[i : i + 1024].tolist(), base[i : i + 1024].tolist(), e)
-                for i in range(0, len(base), 1024)
-            ]
-            num, base = [n for n, _ in parts], [b for _, b in parts]
+        num, base = num.tolist(), base.tolist()
     while len(base) > 1:
         merged_num, merged_base = [], []
         if e == 1:  # no powers: they, or a test per merge, slow small trees by 3-24 %

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,46 @@ def test_overlong_exact_value_writes_nothing(tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["bw", "--n", "65536", "--x", "100000000000"], "pass a float --x (e.g. 1e11) to get a double-precision value"),
+    (["divisor", "--n", "36", "--alpha", "10000"], "pass a smaller --alpha or --n"),
+    (["summatory", "--x", "100000", "--alpha", "3000"], "pass a smaller --alpha or --x"),
+    (["pairs", "--word", "BA", "--j", "1", "--a", str(10**4299 + 7)], "pass an --a or --alpha with fewer digits"),
+])
+def test_overlong_value_hint_names_own_options(argv, hint):
+    # each command's advice names only options that it has and that help
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the exact value has more than 4300 digits, too many to print; {hint}\n"
+
+
+def test_pairs_word_cap_exit_2():
+    code, out, _ = run(["pairs", "--word", "A^4096"])
+    assert code == 0 and len(out) > 3000
+    for word in ("A^4097", "B^20000000", "A^99999999999999999999"):
+        t0 = time.perf_counter()
+        code, out, err = run(["pairs", "--word", word])
+        assert time.perf_counter() - t0 < 0.5, word
+        assert (code, out) == (2, "")
+        assert err == f"error: transform word {word!r} has more than 4096 letters\n"
+
+
+# JSON pinned byte for byte: fit in both modes (its fit field), an exact Fraction and an mpf value
+JSON_GOLDENS = {
+    "golden_fit.json": ["fit", "--a", "2", "--alpha", "1", "--grid", "100:10:4"],
+    "golden_fit_j.json": ["fit", "--a", "2", "--alpha", "1", "--j", "2", "--grid", "1000:10:3"],
+    "golden_gsum.json": ["gsum", "--a", "2", "--alpha", "1", "--j", "2", "--x", "1000"],
+    "golden_asympt.json": ["asympt", "--a", "2", "--alpha", "1", "--x", "1000"],
+}
+
+
+@pytest.mark.parametrize("name", JSON_GOLDENS)
+def test_json_golden(name):
+    code, out, _ = run([*JSON_GOLDENS[name], "--format", "json"])
+    assert code == 0
+    assert out == (DATA / name).read_text()
 
 
 def test_float_gsum_work_budget_exit_2():

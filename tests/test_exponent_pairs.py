@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,19 @@ def test_word_parsing():
         parse_word("BAX")
     with pytest.raises(ValueError):
         parse_word("B^")
+
+
+def test_word_letter_cap():
+    # the cap itself is accepted; one letter more, a 20-digit count and a
+    # long run of letters are refused at once
+    assert len(parse_word("A^4096")) == 4096
+    assert parse_word("A^0003B") == ["A", "A", "A", "B"]
+    apply_word("A^4096", BOURGAIN_SEED)
+    for word in ("A^4097", "A^4096B", "BA^4096", "A^99999999999999999999", "A" * 5000):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4096 letters"):
+            apply_word(word, BOURGAIN_SEED)
+        assert time.perf_counter() - t0 < 0.5, word
 
 
 def test_apply_word_chains():
