@@ -32,6 +32,7 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -60,12 +61,25 @@ def _jsonable(v):
     return v if v is None or isinstance(v, (bool, int, float)) else _fmt(v)
 
 
+@contextmanager
+def _printable(args):
+    """Turn the ValueError of an int past Python's int-to-str digit limit into
+    an error that gives the command's own hint."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(
+            f"the exact value has more than {sys.get_int_max_str_digits()} digits, too many to print; "
+            f"{args.overlong_hint}"
+        ) from exc
+
+
 def _emit(command: str, params: dict, rows: list[dict], args, fit: dict | None = None) -> None:
     """Format the whole output, then write it: a value too long to print
     raises before any byte reaches stdout or --out is opened.  With fit,
     the result is a list and fit goes under "fit" (JSON) or as fit_*
     columns on every row (CSV)."""
-    try:
+    with _printable(args):
         if args.format == "json":
             result = [{k: _jsonable(v) for k, v in r.items()} for r in rows]
             payload = {
@@ -83,11 +97,6 @@ def _emit(command: str, params: dict, rows: list[dict], args, fit: dict | None =
             writer.writerow(rows[0].keys())
             writer.writerows([_fmt(v) for v in r.values()] for r in rows)
             text = buf.getvalue()
-    except ValueError as exc:  # an int past Python's int-to-str digit limit
-        raise ValueError(
-            f"the exact value has more than {sys.get_int_max_str_digits()} digits, too many to print; "
-            f"{args.overlong_hint}"
-        ) from exc
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -233,13 +242,14 @@ def _build_parser() -> _Parser:
 
 def _cmd_divisor(args) -> int:
     spec = DivisorSpec(args.a, args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha))
+    divs = divisors._divisors(args.n)  # enumerated once for all three values
     row = {
         "n": args.n,
         "a": args.a,
         "alpha": args.alpha,
-        "sigma_restricted": divisors.divisor_sum_restricted(args.n, spec),
-        "tau": divisors.tau(args.n),
-        "tau_tilde": divisors.tau_tilde_via_identity(args.n),
+        "sigma_restricted": divisors.divisor_sum_restricted(args.n, spec, divs),
+        "tau": len(divs),
+        "tau_tilde": divisors.tau_tilde_via_identity(args.n, len(divs)),
         "is_square": divisors.is_square(args.n),
     }
     _emit("divisor", {"n": args.n, "a": args.a, "alpha": args.alpha}, [row], args)
@@ -312,11 +322,11 @@ def _cmd_asympt(args) -> int:
         "theta": model.theta,
         "absorption_threshold": asymptotics.absorption_threshold(args.cw) if args.a == 2 else None,
     }
-    terms = ";".join(
-        f"{_fmt(t.coeff)}*x^{_fmt(t.exponent)}" + ("*logx" if t.with_log else "")
-        for t in model.terms
-    )
-    row["terms"] = terms
+    with _printable(args):
+        row["terms"] = ";".join(
+            f"{_fmt(t.coeff)}*x^{_fmt(t.exponent)}" + ("*logx" if t.with_log else "")
+            for t in model.terms
+        )
     _emit("asympt", {"a": args.a, "alpha": args.alpha, "cw": args.cw}, [row], args)
     return 0
 

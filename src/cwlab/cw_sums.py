@@ -48,7 +48,7 @@ from mpmath import mp
 
 from . import summatory
 from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
-from .divisors import integer_root, require_finite
+from .divisors import float64_guarded, integer_root, require_finite
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
 # the common denominator grows by about 0.43 * e digits a term; at the limit
@@ -178,6 +178,14 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
 
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
+    """_float_chunk_sums(x, alpha, j, lo, hi), refused past float64 (divisors.float64_guarded)."""
+    # on [0, 1) B_j and Horner's partial values are at most sum |c_k| < 2**(3j + 1)
+    # (j <= bernoulli.MAX_DEGREE), a weight at most hi**alpha, and a sum hi times that
+    top = 3 * j + 1 + (max(alpha, 0) + 1) * hi.bit_length()
+    return float64_guarded(alpha, top, _float_chunk_sums, x, alpha, j, lo, hi)
+
+
+def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
     """Double-precision sum over lo <= d <= hi: one numpy sum of
     B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
 
@@ -220,6 +228,8 @@ def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
         if j:
             b *= w
         total += float(np.sum(b if j else w))
+    if not math.isfinite(total):  # a Python float sum reached inf
+        raise OverflowError
     return total
 
 

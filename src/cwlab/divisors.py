@@ -26,8 +26,9 @@ and floor cost a fraction of the hardware integer division of an int64
 m % d.  From 2**53 on the test is m % d in int64: every n the budget
 accepts is below (10**8 + 1)**2 < 2**63, so m, d and m % d are exact int64
 values.  The sums over the divisors run on Python ints, so they cannot wrap.
-The batch sieves use int64 arrays behind explicit magnitude guards and
-refuse rather than risk wrapping.
+The batch sieves refuse, behind explicit magnitude guards, any table
+whose proven entry cap _sieve_entry_bound does not fit int64, and add in
+the narrowest integer lane that holds the cap (_lane_dtype).
 """
 
 from __future__ import annotations
@@ -54,6 +55,27 @@ def require_finite(**values) -> None:
     for name, v in values.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def float64_guarded(alpha, log2_top: float, fn, *args):
+    """fn(*args), a float-mode computation, refused with a ValueError naming alpha if it overflows float64.
+
+    log2_top bounds log2 of every power, product and sum fn computes.  Below
+    1000 nothing can overflow and fn runs as it is: numpy's error state costs
+    about 1.5 us, a seventh of a tiny float summatory_fast call.  Otherwise
+    numpy overflow and invalid operations raise inside fn, as do a Python
+    d**alpha and math.fsum past float64, and fn raises OverflowError for a
+    Python float sum that reached inf: no inf or NaN is returned and no numpy
+    warning printed.
+    """
+    if log2_top < 1000:
+        return fn(*args)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return fn(*args)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"alpha = {alpha!r} is too large: d**alpha or a sum of such terms "
+                         "overflows float64; pass a smaller alpha") from None
 
 
 @dataclass(frozen=True)
@@ -173,16 +195,20 @@ def _odd_divisors_upto(m: int, r: int) -> list[int]:
     return small
 
 
-def divisor_sum_restricted(n: int, spec: DivisorSpec):
+def divisor_sum_restricted(n: int, spec: DivisorSpec, divs: list[int] | None = None):
     """sigma_{a,alpha}(n) = sum of d**alpha over divisors d with d**a <= n.
 
-    Exact int in integer-alpha mode; math.fsum of d**alpha otherwise.  The
-    divisors come ascending, so the test stops at the first d with d**a > n.
+    Exact int in integer-alpha mode; math.fsum of d**alpha otherwise, refused
+    past float64.  divs, if given, is _divisors(n), enumerated once for
+    several values.  The divisors come ascending, so the test stops at the
+    first d with d**a > n.
     """
-    divs = list(takewhile(lambda d: d**spec.a <= n, _divisors(n)))
+    divs = list(takewhile(lambda d: d**spec.a <= n, _divisors(n) if divs is None else divs))
     if spec.exact:
         return sum(d**spec.alpha for d in divs)
-    return math.fsum(d**spec.alpha for d in divs)
+    # at most n terms, each d**alpha <= n**alpha; fsum draws them inside the guard
+    weights = (d**spec.alpha for d in divs)
+    return float64_guarded(spec.alpha, (spec.alpha + 1) * n.bit_length(), math.fsum, weights)
 
 
 def tau(n: int) -> int:
@@ -206,14 +232,14 @@ def is_square(n: int) -> int:
     return 1 if r * r == n else 0
 
 
-def tau_tilde_via_identity(n: int) -> int:
-    """Half-range divisor count via (tau(n) + 1_square(n)) / 2.
+def tau_tilde_via_identity(n: int, t: int | None = None) -> int:
+    """Half-range divisor count via (tau(n) + 1_square(n)) / 2; t, if given, is tau(n).
 
     tau(n) and the square indicator always have equal parity (divisors pair
     off as (d, n/d) except the square root), so the division is exact; a
     parity violation would mean tau itself is broken.
     """
-    t = tau(n)
+    t = tau(n) if t is None else t
     s = is_square(n)
     if (t + s) % 2 != 0:
         raise AssertionError(f"parity breach: tau({n})={t}, square={s}")
@@ -231,8 +257,9 @@ def _sieve_entry_bound(x: int, root: int, alpha: int) -> int:
 
 
 # _sieve_into's tiers: divisors up to _WHEEL_D add one pattern of period
-# _WHEEL = lcm(1..12); divisors up to _BLOCK_D sweep sub-blocks of _BLOCK
-# entries (8 * 2**17 bytes = 1 MB, within a 2 MB per-core L2 cache).
+# _WHEEL = lcm(1..12); divisors up to _BLOCK_D sweep sub-blocks of 1 MB,
+# within a 2 MB per-core L2 cache: _BLOCK int64 or float64 entries, and
+# two or four times as many in an int32 or int16 lane.
 _WHEEL_D, _WHEEL = 12, 27720
 _BLOCK_D, _BLOCK = 256, 1 << 17
 
@@ -241,7 +268,8 @@ def _sieve_into(arr: np.ndarray, lo: int, spec: DivisorSpec, root: int) -> np.nd
     """Add sigma_{a,alpha}(n) into arr[n - lo] for n in [lo, lo + len(arr)), in place; return arr.
 
     Adds d**alpha at every n = d*k in range with k >= d**(a-1), for d <= root.
-    The caller zeroes arr (contiguous) and guards int64 magnitudes in integer mode.
+    The caller zeroes arr (contiguous) and, in integer mode, picks its dtype
+    by _lane_dtype, so that no entry can wrap.
 
     A strided add that leaves the cache costs ten or more times a contiguous one, so
     the divisors run in three tiers:
@@ -250,8 +278,9 @@ def _sieve_into(arr: np.ndarray, lo: int, spec: DivisorSpec, root: int) -> np.nd
          built aligned to the wheel's first entry, is added a period at a
          time through a (rows, _WHEEL) view, when the range holds a whole
          period; the entries below _WHEEL_D**a take one pass per d.
-      2. _WHEEL_D < d <= _BLOCK_D: the passes sweep one sub-block of _BLOCK
-         entries at a time, all d before the next block.
+      2. _WHEEL_D < d <= _BLOCK_D: the passes sweep one 1 MB sub-block
+         (_BLOCK * 8 // arr.itemsize entries) at a time, all d before the
+         next block.
       3. d > _BLOCK_D: one pass over the whole range per d.
     Each entry still receives its adds in ascending d, starting from 0: the
     pattern sums its weights in ascending d from 0, and 0 + p = p.  So float
@@ -279,10 +308,51 @@ def _sieve_into(arr: np.ndarray, lo: int, spec: DivisorSpec, root: int) -> np.nd
         arr[n0 - lo + rows * _WHEEL :] += pattern[: (hi - n0) % _WHEEL]
     if root > _WHEEL_D:
         middle = range(_WHEEL_D + 1, min(root, _BLOCK_D) + 1)
-        for b0 in range(lo, hi, _BLOCK):
-            passes(middle, b0, min(b0 + _BLOCK, hi))
+        step = _BLOCK * 8 // arr.itemsize  # 1 MB in every lane
+        for b0 in range(lo, hi, step):
+            passes(middle, b0, min(b0 + step, hi))
         passes(range(_BLOCK_D + 1, root + 1), lo, hi)
     return arr
+
+
+def _lane_dtype(limit: int, root: int, spec: DivisorSpec) -> type:
+    """The dtype _sieve_into adds in for n <= limit: float64 in float mode, else the
+    narrowest of int16, int32 and int64 that holds _sieve_entry_bound(limit, root, alpha).
+
+    Every add is a positive d**alpha, so each partial sum of an entry is at
+    most the entry, and so at most the bound: a lane that holds the bound
+    cannot wrap.  A narrower lane moves a quarter or half of int64's bytes
+    per strided add, and so fits four or two times the entries in a cache.
+    """
+    if not spec.exact:
+        return np.float64
+    bound = _sieve_entry_bound(limit, root, spec.alpha)
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+def _sieve_in_lane(out: np.ndarray, lo: int, spec: DivisorSpec, root: int, lane: type) -> np.ndarray:
+    """_sieve_into(out, lo, spec, root) run in the dtype lane, which holds every entry; return out.
+
+    out is zeroed and contiguous, int64 or float64.  Where lane is out's own
+    dtype this is _sieve_into.  Otherwise the lane is a view of out's own
+    first bytes, so nothing is allocated, and after the sieve it is widened
+    in place from the top down, in dyadic blocks out[b:2b] = lane[b:2b] for
+    b = 2**k, ..., 2, 1, then out[0].  With lane width w <= 4 bytes, block
+    b reads bytes [w*b, 2*w*b), which end at or before 8*b, where the
+    bytes [8*b, 16*b) it writes begin; the blocks above it wrote only from
+    16*b on, past what it reads, and the blocks below it read only below
+    w*b, before what it writes.  So every entry is read before it is
+    overwritten, and no copy overlaps its source.
+    """
+    if lane == out.dtype:
+        return _sieve_into(out, lo, spec, root)
+    narrow = _sieve_into(out.view(lane)[: len(out)], lo, spec, root)
+    b = (1 << (len(out) - 1).bit_length()) >> 1
+    while b:
+        out[b : 2 * b] = narrow[b : 2 * b]
+        b >>= 1
+    out[0] = narrow[0]
+    return out
 
 
 def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
@@ -297,7 +367,8 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     if spec.exact and _sieve_entry_bound(limit, root, spec.alpha) >= 2**62:
         raise OverflowError("restricted_sigma_table entries may exceed int64; "
                             "use divisor_sum_restricted per n instead")
-    return _sieve_into(np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64), 0, spec, root)
+    out = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
+    return _sieve_in_lane(out, 0, spec, root, _lane_dtype(limit, root, spec))
 
 
 def _sigma_table(limit: int, alpha: int) -> np.ndarray:

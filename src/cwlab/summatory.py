@@ -5,9 +5,13 @@ k >= d**(a-1) and accumulates d^alpha per pair (vectorized, chunked, cost
 O(x log x)); its table form sieves chunk by chunk into its one output
 array and turns that into cumulative sums in place.  Both run the one
 sieve kernel, divisors._sieve_into, whose adds stay in cache: d <= 12 add
-one pattern of period lcm(1..12) = 27720, d <= 256 sweep 2**17-entry
-sub-blocks, and each entry still gets its adds in ascending d, so float
-tables are bit-for-bit those of one pass per d.  summatory_fast needs
+one pattern of period lcm(1..12) = 27720, d <= 256 sweep 1 MB sub-blocks,
+and each entry still gets its adds in ascending d, so float tables are
+bit-for-bit those of one pass per d.  In integer mode the adds run in the
+narrowest integer lane that holds the proven entry cap (divisors._lane_dtype),
+so they cannot wrap: the table's lane is laid over its int64 chunk's own
+bytes and widened in place (divisors._sieve_in_lane), and the total's chunk
+buffer is in the lane dtype and summed in int64.  summatory_fast needs
 only O(x^(1/a)) terms: interchanging the summations gives
 
     sum_{n <= x} sigma_{a,alpha}(n)
@@ -68,7 +72,8 @@ from functools import cached_property
 import numpy as np
 
 from .bernoulli import MAX_DEGREE, _scaled_coefficients
-from .divisors import _BASE, DivisorSpec, _sieve_entry_bound, _sieve_into, integer_root
+from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_entry_bound, _sieve_in_lane, _sieve_into,
+                       float64_guarded, integer_root)
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
@@ -189,31 +194,41 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
         s_floor = x * s_lower - s if alpha else s
     else:
-        s_floor = s_pow = s_alpha = 0.0
-        as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
-        n = min(cut, _FAST_CHUNK)
-        q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
-        for d in _d_chunks(1, cut, None, as_float=as_float):
-            n = len(d)
-            q, p = q_row[:n], p_row[:n]  # floor(x/d) and d^(a-1), then times d^alpha
-            if as_float:
-                _quotient(x, d, out=q)
-                np.copyto(p, d)
-                for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
-                    p *= d
-            else:
-                np.copyto(q, x // d)
-                np.copyto(p, d if a == 2 else d ** (a - 1))
-            if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
-                s_alpha += n
-            else:
-                w = _float_weights(d, alpha, w_row)
-                p *= w
-                q *= w
-                s_alpha += float(w.sum())
-            s_pow += float(p.sum())
-            s_floor += float(q.sum())
+        # every weight is at most cut**alpha, every product and sum at most x * cut**(alpha + 1)
+        top = (alpha + 2) * x.bit_length()
+        s_floor, s_pow, s_alpha = float64_guarded(alpha, top, _float_sums, x, a, alpha, cut)
     return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha, s_lower)
+
+
+def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, float]:
+    """Float-mode summatory_fast: sum floor(x/d) d^alpha, sum d^(alpha+a-1) and sum d^alpha over d <= cut."""
+    s_floor = s_pow = s_alpha = 0.0
+    as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
+    n = min(cut, _FAST_CHUNK)
+    q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
+    for d in _d_chunks(1, cut, None, as_float=as_float):
+        n = len(d)
+        q, p = q_row[:n], p_row[:n]  # floor(x/d) and d^(a-1), then times d^alpha
+        if as_float:
+            _quotient(x, d, out=q)
+            np.copyto(p, d)
+            for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
+                p *= d
+        else:
+            np.copyto(q, x // d)
+            np.copyto(p, d if a == 2 else d ** (a - 1))
+        if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
+            s_alpha += n
+        else:
+            w = _float_weights(d, alpha, w_row)
+            p *= w
+            q *= w
+            s_alpha += float(w.sum())
+        s_pow += float(p.sum())
+        s_floor += float(q.sum())
+    if not math.isfinite(s_floor - s_pow + s_alpha):  # a Python float sum reached inf
+        raise OverflowError
+    return s_floor, s_pow, s_alpha
 
 
 def _power_sum(n: int, m: int) -> int:
@@ -443,13 +458,21 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
     if x > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute force is guarded at x <= {BRUTEFORCE_LIMIT}; use summatory_fast")
     root = _brute_root(x, spec)
-    buf = np.empty(min(x, _CHUNK), dtype=np.int64 if spec.exact else np.float64)
-    total: int | float = 0 if spec.exact else 0.0
-    for lo in range(1, x + 1, _CHUNK):
-        buf.fill(0)
-        chunk = _sieve_into(buf[: x + 1 - lo], lo, spec, root)
-        total += int(chunk.sum()) if spec.exact else float(chunk.sum())
-    return total
+    buf = np.empty(min(x, _CHUNK), dtype=_lane_dtype(x, root, spec))
+
+    def chunk_sums():
+        total: int | float = 0 if spec.exact else 0.0
+        for lo in range(1, x + 1, _CHUNK):
+            buf.fill(0)
+            chunk = _sieve_into(buf[: x + 1 - lo], lo, spec, root)
+            total += int(chunk.sum(dtype=np.int64)) if spec.exact else float(chunk.sum())
+        if not (spec.exact or math.isfinite(total)):  # a Python float sum reached inf
+            raise OverflowError
+        return total
+
+    # an entry is at most 2 (sqrt(x) + 1) root**alpha <= 4 x**(alpha + 1), a sum x times
+    # that; in exact mode nothing can overflow either way, as the lane holds every entry
+    return float64_guarded(spec.alpha, (spec.alpha + 2) * x.bit_length() + 2, chunk_sums)
 
 
 def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
@@ -463,9 +486,10 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
         raise ValueError(f"limit must be in [1, {BRUTEFORCE_LIMIT}]")
     root = _brute_root(limit, spec)
     full = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
+    lane = _lane_dtype(limit, root, spec)
     exact_total = 0  # in Python ints: an int64 wrap in the cumsum cannot match it
     for lo in range(1, limit + 1, _CHUNK):
-        chunk = _sieve_into(full[lo : lo + _CHUNK], lo, spec, root)
+        chunk = _sieve_in_lane(full[lo : lo + _CHUNK], lo, spec, root, lane)
         exact_total += int(chunk.sum()) if spec.exact else 0
     np.cumsum(full, out=full)
     if spec.exact and (int(full[-1]) != exact_total or full.min() < 0):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,7 @@ def test_overlong_exact_value_writes_nothing(tmp_path):
     (["divisor", "--n", "36", "--alpha", "10000"], "pass a smaller --alpha or --n"),
     (["summatory", "--x", "100000", "--alpha", "3000"], "pass a smaller --alpha or --x"),
     (["pairs", "--word", "BA", "--j", "1", "--a", str(10**4299 + 7)], "pass an --a or --alpha with fewer digits"),
+    (["asympt", "--alpha", f"1/{10**4299}"], "pass an --alpha with fewer digits"),
 ])
 def test_overlong_value_hint_names_own_options(argv, hint):
     # each command's advice names only options that it has and that help
@@ -382,3 +384,35 @@ def test_summatory_work_budget_exit_2():
     code, out, err = run(["summatory", "--x", str(10**24), "--alpha", "1"])
     assert (code, out) == (2, "")
     assert "work budget" in err and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["summatory", "--x", "100000", "--alpha", "300.0"],
+    ["summatory", "--x", "100000", "--alpha", "300.0", "--mode", "brute"],
+    ["fit", "--alpha", "3000.0", "--grid", "100:2:3"],
+    ["gsum", "--alpha", "3000.0", "--x", "1000000", "--j", "1"],
+    ["divisor", "--n", "36", "--alpha", "10000.0"],
+], ids=["summatory", "summatory-brute", "fit", "gsum", "divisor"])
+def test_float_alpha_overflow_exit_2(argv):
+    # d**alpha past float64 is refused with one error line that names
+    # alpha: no nan on stdout, no numpy warning, no bare errno message
+    alpha = argv[argv.index("--alpha") + 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: alpha = {alpha} is too large: d**alpha or a sum of such terms overflows "
+                   "float64; pass a smaller alpha\n")
+
+
+def test_divisor_enumerates_once(monkeypatch):
+    # sigma_restricted, tau and tau_tilde all come from one _divisors(n)
+    from cwlab import divisors
+
+    calls, enumerate_divisors = [], divisors._divisors
+    monkeypatch.setattr(divisors, "_divisors", lambda n: calls.append(n) or enumerate_divisors(n))
+    for n, line in ((720720, "720720,2,1,27815,240,120,0"), (36, "36,2,1,16,9,5,1"), (1, "1,2,1,1,1,1,1")):
+        calls.clear()
+        code, out, _ = run(["divisor", "--n", str(n), "--alpha", "1"])
+        assert (code, calls) == (0, [n])
+        assert out == f"n,a,alpha,sigma_restricted,tau,tau_tilde,is_square\n{line}\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwlab import invariants, summatory
-from cwlab.bernoulli import bernoulli_coefficients, psi
+from cwlab.bernoulli import MAX_DEGREE, bernoulli_coefficients, psi
 from cwlab.cw_sums import (
     _EXACT_TERMS_LIMIT,
     _PSI_BLOCK_LIMIT,
@@ -405,3 +405,20 @@ def test_float_g_sum_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_bernoulli_coefficient_mass_bound():
+    # float G runs without numpy's error state while its values stay far
+    # below the float64 range; its bound takes sum |c_k| < 2**(3j + 1) for B_j
+    for j in range(MAX_DEGREE + 1):
+        assert sum(abs(c) for c in bernoulli_coefficients(j)) < 2 ** (3 * j + 1), j
+
+
+def test_float_g_near_overflow_stays_finite():
+    # values near the top of the float64 range run under the overflow guard
+    # and still come out, equal to the block sums they split into
+    spec = GSumSpec(2, 100.0, 3, 10**6)
+    value = g_sum(spec)
+    assert 1e298 < value < 1e300
+    blocks = bernoulli_coefficients(3)[0] + sum(block_g(2**k, spec) for k in range(10))
+    assert value == pytest.approx(float(blocks), rel=1e-12)

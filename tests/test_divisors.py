@@ -355,13 +355,18 @@ def _sieve_callers(limit, spec):
             summatory_bruteforce(limit, spec))
 
 
+def _no_lanes(limit, root, spec):
+    return np.int64 if spec.exact else np.float64
+
+
 @pytest.mark.parametrize("a", (2, 3, 4))
 @pytest.mark.parametrize("alpha", (0, 1, 2, 0.5, 2.0))
 def test_sieve_tiers_match_one_pass(monkeypatch, a, alpha):
     # limits at each tier's edge: the wheel's start w = 12**a, its first
     # whole period (limit w + 27719 is the first that holds all of
     # [w, w + 27720)), multiples of the period and one 2**17 block; every
-    # table must equal the one-pass kernel's with ==, floats too
+    # table must equal the one-pass kernel's with ==, floats too.  The
+    # reference also sieves int64 throughout, not in int16 or int32 lanes
     spec, w = DivisorSpec(a, alpha), 12**a
     grid = [(None, None, (w - 1, w + 1, w + 27718, w + 27719, 27719, 27721, 55439, 55441,
                           2**17 - 1, 2**17 + 1)),
@@ -376,6 +381,73 @@ def test_sieve_tiers_match_one_pass(monkeypatch, a, alpha):
             with monkeypatch.context() as m:
                 m.setattr(divisors, "_sieve_into", _one_pass_sieve_into)
                 m.setattr(summatory, "_sieve_into", _one_pass_sieve_into)
+                m.setattr(divisors, "_lane_dtype", _no_lanes)
+                m.setattr(summatory, "_lane_dtype", _no_lanes)
                 want = _sieve_callers(limit, spec)
             assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), (limit, block)
             assert got[2] == want[2] and type(got[2]) is type(want[2]), (limit, block)
+
+
+# (a, alpha, limit, lane): limit is the first whose lane is one size wider
+# than the lane at limit - 1
+_LANE_EDGES = [(2, 1, 128**2, np.int16), (2, 2, 26**2, np.int16), (2, 2, 1024**2, np.int32),
+               (2, 3, 12**2, np.int16), (2, 3, 181**2, np.int32), (3, 1, 341**2, np.int16),
+               (3, 3, 27**2, np.int16), (4, 2, 135**2, np.int16)]
+# (a, alpha, limit) whose largest entry passes the next narrower lane:
+# 1081080 = 2^3 3^3 5 7 11 13 is the first n with tau~(n) = 128 > 2^7 - 1 and
+# sigma~_1(n) = 35204 > 2^15 - 1; sigma~_2(6720) = 34275 > 2^15 - 1; and
+# sigma~_3(388080) = 2195757404 > 2^31 - 1
+_LANE_OVERFULL = [(2, 0, 1081080), (2, 1, 1081080), (2, 2, 6720), (2, 3, 388080)]
+
+
+def _lane_cases():
+    for a, alpha, limit, _ in _LANE_EDGES:
+        yield from ((a, alpha, n) for n in (limit - 1, limit, limit + 1))
+    yield from _LANE_OVERFULL
+    for k in (4, 11, 13):  # tables of length 2**k and 2**k + 1, and chunks too
+        yield from ((2, alpha, n) for alpha in (0, 1) for n in (2**k - 1, 2**k, 2**k + 1))
+    yield from ((a, alpha, n) for a in (2, 3) for alpha in (0, 2) for n in (1, 2, 3))
+
+
+@pytest.mark.parametrize("a, alpha, limit", [pytest.param(*c, id="-".join(map(str, c))) for c in _lane_cases()])
+def test_sieve_lanes_match_int64(monkeypatch, a, alpha, limit):
+    # every exact caller against an int64 table of one pass per d, built
+    # without _sieve_in_lane, at whole-table chunks and at _CHUNK = 7919
+    # (chunks start off every power of 2, and the last one is short)
+    spec = DivisorSpec(a, alpha)
+    ref = _one_pass_sieve_into(np.zeros(limit + 1, dtype=np.int64), 0, spec, integer_root(limit, a))
+    cum = np.cumsum(ref)
+    assert (restricted_sigma_table(limit, spec) == ref).all()
+    for chunk in (summatory._CHUNK, 7_919):
+        monkeypatch.setattr(summatory, "_CHUNK", chunk)
+        assert (summatory_bruteforce_table(limit, spec) == cum).all(), chunk
+        assert summatory_bruteforce(limit, spec) == int(cum[-1]), chunk
+
+
+def test_lane_choice():
+    # each edge of _LANE_EDGES widens its lane there; the limits of
+    # _LANE_OVERFULL sieve in a lane of which the next narrower one wraps
+    for a, alpha, limit, narrow in _LANE_EDGES:
+        spec = DivisorSpec(a, alpha)
+        lanes = [divisors._lane_dtype(n, integer_root(n, a), spec) for n in (limit - 1, limit)]
+        assert lanes == [narrow, np.int32 if narrow is np.int16 else np.int64], (a, alpha, limit)
+    for a, alpha, limit in _LANE_OVERFULL:
+        spec = DivisorSpec(a, alpha)
+        lane = divisors._lane_dtype(limit, integer_root(limit, a), spec)
+        narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}[lane]
+        assert divisor_sum_restricted(limit, spec) > np.iinfo(narrower).max, (a, alpha, limit)
+    assert divisors._lane_dtype(100, 10, DivisorSpec(2, 0.5)) is np.float64
+
+
+def test_lane_widening_in_place():
+    # the lane is laid over the output's own bytes: nothing limit-sized is
+    # allocated besides the output, in every lane
+    limit = 10**6
+    for spec in (DivisorSpec(2, 0), DivisorSpec(2, 1), DivisorSpec(2, 3)):
+        tracemalloc.start()
+        try:
+            restricted_sigma_table(limit, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * (limit + 1), (spec, peak)

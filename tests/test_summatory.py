@@ -619,3 +619,15 @@ def test_fast_remainder_form_object_chunks(monkeypatch):
         seen.clear()
         assert fast_fields(x, spec) == loop_reference(x, spec)
         assert seen[:5] == [np.dtype(np.int64)] * 5 and np.dtype(object) in seen, x
+
+
+def test_float_near_overflow_stays_finite():
+    # a float sum near the top of the float64 range runs under the overflow
+    # guard and is still returned; one step of alpha further is refused
+    spec = DivisorSpec(2, 120.0)
+    fast, brute = summatory_fast(10**5, spec).total, summatory_bruteforce(10**5, spec)
+    assert 1e300 < fast < 1e302 and fast == pytest.approx(brute, rel=1e-12)
+    assert 1e299 < divisor_sum_restricted(99856, DivisorSpec(2, 120.0)) < math.inf
+    for f in (summatory_fast, summatory_bruteforce, divisor_sum_restricted):
+        with pytest.raises(ValueError, match="alpha = 130.0"):
+            f(99856, DivisorSpec(2, 130.0))
