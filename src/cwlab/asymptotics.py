@@ -14,15 +14,15 @@ For a = 2 the exponent is theta_alpha = alpha/2 + 1/4 if the Chowla-Walum
 conjecture holds and alpha/2 + 517/1648 unconditionally; for a >= 3 it is
 1 + (alpha-2)/a.  Everything here is evaluated in >= 30 significant
 digits: at x = 10^12 the leading term is ~10^18 while the residual of
-interest is ~10^10, far below double precision's reach.
+interest is ~10^10, far below double precision's reach.  Each function
+that computes in mpmath imports it itself, so `import cwlab` does not
+load mpmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
 
 from .cw_sums import gsum_cutoff
 from .divisors import integer_root, require_finite
@@ -39,6 +39,7 @@ CW_THETA0 = Fraction(1, 4)
 
 def euler_gamma(dps: int = DEFAULT_DPS):
     """gamma as an mpf at the requested working precision."""
+    from mpmath import mp
     with mp.workdps(dps):
         return mp.mpf(EULER_GAMMA_STR)
 
@@ -67,6 +68,7 @@ class MainTermModel:
     assumes_cw: bool | None = None
 
     def evaluate(self, x, dps: int = DEFAULT_DPS):
+        from mpmath import mp
         with mp.workdps(dps):
             xm = mp.mpf(x)
             if not (mp.isfinite(xm) and xm > 0):
@@ -83,6 +85,7 @@ class MainTermModel:
 
 def _mpf(v):
     """An mpf from a Fraction, float or mpf, at the working precision."""
+    from mpmath import mp
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / v.denominator
     return mp.mpf(v)
@@ -142,6 +145,7 @@ def restricted_model(alpha, a: int = 2, cw: bool = False) -> MainTermModel:
         raise ValueError(f"restriction root must be an integer >= 2, got {a!r}")
     t = _number(alpha)  # alpha in the model's number type; one set of formulas serves both
     if t == 0:
+        from mpmath import mp
         t, one = Fraction(0), Fraction(1)
         with mp.workdps(60):
             gamma_coeff = euler_gamma(60) - mp.mpf(1) / a
@@ -204,6 +208,7 @@ def euler_maclaurin_partial_sum(x, a, beta, dps: int = DEFAULT_DPS):
         raise ValueError("x must be >= 1")
     if a < 1:
         raise ValueError("a must be >= 1")
+    from mpmath import mp
     with mp.workdps(dps):
         xm = mp.mpf(x)
         if isinstance(x, int) and isinstance(a, int) and not isinstance(a, bool):

@@ -36,9 +36,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 
-from mpmath import mp
-
-from . import asymptotics, divisors, exponent_pairs, invariants as inv
+from . import asymptotics, divisors, exponent_pairs
 from .cw_sums import GSumSpec, g_sum, shifted_psi_block_sum
 from .divisors import DivisorSpec
 from .exponent_pairs import ExponentPair, apply_word, gsum_exponent_bound, parse_rational
@@ -52,13 +50,20 @@ def _fmt(v) -> str:
     """str(v), except bool as true/false, mpf at MPF_DIGITS digits and None as ''."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, mp.mpf):
-        return mp.nstr(v, MPF_DIGITS, strip_zeros=True)
+    if "mpmath" in sys.modules:  # no mpf exists before mpmath is loaded
+        from mpmath import mp
+        if isinstance(v, mp.mpf):
+            return mp.nstr(v, MPF_DIGITS, strip_zeros=True)
     return "" if v is None else str(v)
 
 
 def _jsonable(v):
     return v if v is None or isinstance(v, (bool, int, float)) else _fmt(v)
+
+
+def _overlong(args) -> ValueError:
+    return ValueError(f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
+                      f"too many to print; {args.overlong_hint}")
 
 
 @contextmanager
@@ -68,10 +73,17 @@ def _printable(args):
     try:
         yield
     except ValueError as exc:
-        raise ValueError(
-            f"the exact value has more than {sys.get_int_max_str_digits()} digits, too many to print; "
-            f"{args.overlong_hint}"
-        ) from exc
+        raise _overlong(args) from exc
+
+
+def _refuse_overlong(args, base: int, alpha) -> None:
+    """Refuse before any work an exact value of at least base**alpha (int alpha)
+    that provably has more digits than Python prints: alpha * log10(base)
+    reaches the limit plus one digit, which no rounding of the float log can
+    close."""
+    limit = sys.get_int_max_str_digits()
+    if limit and base > 1 and isinstance(alpha, int) and alpha >= (limit + 1) / math.log10(base):
+        raise _overlong(args)
 
 
 def _emit(command: str, params: dict, rows: list[dict], args, fit: dict | None = None) -> None:
@@ -243,6 +255,9 @@ def _build_parser() -> _Parser:
 def _cmd_divisor(args) -> int:
     spec = DivisorSpec(args.a, args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha))
     divs = divisors._divisors(args.n)  # enumerated once for all three values
+    # the restricted sum is at least d_max**alpha, d_max its largest divisor d <= n**(1/a)
+    root = divisors.integer_root(args.n, args.a)
+    _refuse_overlong(args, max(d for d in divs if d <= root), spec.alpha)
     row = {
         "n": args.n,
         "a": args.a,
@@ -286,6 +301,8 @@ def _cmd_bw(args) -> int:
 
 def _cmd_summatory(args) -> int:
     spec = DivisorSpec(args.a, args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha))
+    if args.x >= 1:  # the total is at least D**alpha, from d = D, since floor(x/D) >= D**(a-1)
+        _refuse_overlong(args, divisors.integer_root(args.x, args.a), spec.alpha)
     fast = brute = None
     if args.mode in ("fast", "both"):
         fast = summatory_fast(args.x, spec).total
@@ -374,33 +391,36 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# verify: registry invariants at reduced scale, drawn from a Random seeded with the suite's name
+# verify: registry invariants at reduced scale, drawn from a Random seeded with the suite's name;
+# a suite takes the invariants module, which only verify imports
 _SUITES = [
-    ("bernoulli", "periodicity, recurrence, quadrature, Fourier", lambda rng: (
+    ("bernoulli", "periodicity, recurrence, quadrature, Fourier", lambda rng, inv: (
         inv.bernoulli_periodicity(rng, 400), inv.bernoulli_recurrence(rng, 100),
         [inv.bernoulli_integral(j, 2000) for j in range(1, 7)], inv.bernoulli_fourier(rng, (2, 3, 4), 30, 2000))),
-    ("divisors", "identity sweep 1e5, monotone, boundary, roots", lambda rng: (
+    ("divisors", "identity sweep 1e5, monotone, boundary, roots", lambda rng, inv: (
         inv.tau_tilde_identity(rng, 10**5, 50), inv.monotone_bound(10**4),
         inv.boundary_inclusion(50), inv.integer_root_exact(rng, 2 * 10**4))),
-    ("cw_sums", "j=0 consistency, psi bound, blocks, exact/float", lambda rng: (
+    ("cw_sums", "j=0 consistency, psi bound, blocks, exact/float", lambda rng, inv: (
         inv.j0_consistency(rng, 50), inv.psi_bound(rng, 100),
         inv.block_decomposition(rng, 40), inv.exact_float_agreement(rng, 25))),
-    ("summatory", "fast=brute (1500 exhaustive + random 1e6), breakdown, monotone", lambda rng: (
+    ("summatory", "fast=brute (1500 exhaustive + random 1e6), breakdown, monotone", lambda rng, inv: (
         inv.oracle_equivalence(rng, 10**6, 1500, 45), inv.breakdown_identity(rng, 20), inv.summatory_monotone(300))),
-    ("asymptotics", "gamma, theta order, EM windows", lambda rng: (
+    ("asymptotics", "gamma, theta order, EM windows", lambda rng, inv: (
         inv.gamma_cross_check(), inv.theta_order(), inv.em_residual_window(rng, 200), inv.em_harmonic_error())),
-    ("exponent_pairs", "involution, domain words<=6", lambda rng: (
+    ("exponent_pairs", "involution, domain words<=6", lambda rng, inv: (
         inv.b_involution(rng, 200), inv.domain_preservation(6))),
-    ("experiments", "synthetic power laws", lambda rng: inv.fit_recovers_power_laws(rng, 10)),
+    ("experiments", "synthetic power laws", lambda rng, inv: inv.fit_recovers_power_laws(rng, 10)),
 ]
 
 
 def _cmd_verify(args) -> int:
+    from . import invariants
+
     failures = 0
     for name, detail, suite in _SUITES:
         t0 = time.perf_counter()
         try:
-            suite(random.Random(name))
+            suite(random.Random(name), invariants)
             status = "PASS"
         except AssertionError as exc:
             status, detail = "FAIL", str(exc)

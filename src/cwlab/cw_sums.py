@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from . import summatory
 from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
@@ -109,6 +108,7 @@ def gsum_cutoff(x, a) -> int:
         # D <= x^(q/p)  <=>  D**p <= x**q, an exact integer comparison
         return integer_root(x**a.denominator, a.numerator)
     # float a (or float x with fractional a): 40-digit monotone comparison
+    from mpmath import mp
     with mp.workdps(40):
         lx = mp.log(mp.mpf(x))
         la = mp.mpf(a) if not isinstance(a, Fraction) else mp.mpf(a.numerator) / a.denominator

@@ -221,7 +221,8 @@ def sigma_alpha(n: int, alpha):
     divs = _divisors(n)
     if isinstance(alpha, int) and not isinstance(alpha, bool):
         return sum(d**alpha for d in divs)
-    return math.fsum(d**alpha for d in divs)
+    # at most n terms, each d**alpha <= n**alpha, as in divisor_sum_restricted
+    return float64_guarded(alpha, (alpha + 1) * n.bit_length(), math.fsum, (d**alpha for d in divs))
 
 
 def is_square(n: int) -> int:
@@ -359,7 +360,8 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """Array t with t[n] = sigma_{a,alpha}(n) for 1 <= n <= limit (t[0] = 0).
 
     Enumerates every pair n = d*k with k >= d**(a-1) and adds d**alpha.
-    Integer mode refuses (rather than wraps) if values could exceed int64.
+    Integer mode refuses (rather than wraps) if values could exceed int64,
+    float mode past float64.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -368,7 +370,9 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
         raise OverflowError("restricted_sigma_table entries may exceed int64; "
                             "use divisor_sum_restricted per n instead")
     out = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
-    return _sieve_in_lane(out, 0, spec, root, _lane_dtype(limit, root, spec))
+    # every entry is at most limit**(alpha + 1), as in divisor_sum_restricted
+    return float64_guarded(spec.alpha, (spec.alpha + 1) * limit.bit_length(),
+                           _sieve_in_lane, out, 0, spec, root, _lane_dtype(limit, root, spec))
 
 
 def _sigma_table(limit: int, alpha: int) -> np.ndarray:

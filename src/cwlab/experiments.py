@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from statistics import linear_regression
 
-from mpmath import mp
-
 from .asymptotics import DEFAULT_DPS, MainTermModel
 from .cw_sums import GSumSpec, g_sum
 from .divisors import DivisorSpec, require_finite
@@ -98,6 +96,7 @@ def residual_series(
     if points and points[-1] > RESIDUAL_X_LIMIT:
         raise ValueError(f"grid reaches {points[-1]} > {RESIDUAL_X_LIMIT}")
 
+    from mpmath import mp
     def one(x: int) -> ResidualPoint:
         exact = summatory_fast(x, spec).total
         with mp.workdps(DEFAULT_DPS):
@@ -126,7 +125,11 @@ def fit_loglog(series) -> FitReport:
             dropped += 1
             continue
         xs.append(math.log(float(x)))
-        ys.append(float(mp.log(abs(r))) if not isinstance(r, (int, float)) else math.log(abs(r)))
+        if isinstance(r, (int, float)):
+            ys.append(math.log(abs(r)))
+        else:
+            from mpmath import mp
+            ys.append(float(mp.log(abs(r))))
     if len(xs) < 2:
         raise ValueError(f"need >= 2 nonzero residuals to fit, have {len(xs)}")
     slope, intercept = linear_regression(xs, ys)

@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .asymptotics import error_exponent, euler_gamma, euler_maclaurin_partial_sum
 from .bernoulli import bernoulli_coefficients, bernoulli_fourier_truncated, bernoulli_func, bernoulli_poly
@@ -167,6 +166,7 @@ def gamma_cross_check() -> None:
     n = 100
     part = sum(Fraction(1, d) for d in range(1, n + 1)) - Fraction(1, 2 * n) + sum(
         bernoulli_poly(2 * k, 0) / (2 * k * Fraction(n) ** (2 * k)) for k in range(1, 5))
+    from mpmath import mp
     with mp.workdps(60):
         diff = abs(euler_gamma(60) - (mp.mpf(part.numerator) / part.denominator - mp.log(n)))
         _check(diff < mp.mpf("1e-20"), "gamma cross-check", diff=diff)
@@ -184,6 +184,7 @@ def theta_order() -> None:
 
 def em_residual_window(rng, draws: int) -> None:
     """At random x <= 1e12, sum_{d <= sqrt x} d minus its EM value is psi(sqrt x)^2/2, in [0, 1/8]."""
+    from mpmath import mp
     for _ in range(draws):
         x = rng.randrange(1, 10**12 + 1)
         d = math.isqrt(x)

@@ -487,11 +487,17 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     root = _brute_root(limit, spec)
     full = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
     lane = _lane_dtype(limit, root, spec)
-    exact_total = 0  # in Python ints: an int64 wrap in the cumsum cannot match it
-    for lo in range(1, limit + 1, _CHUNK):
-        chunk = _sieve_in_lane(full[lo : lo + _CHUNK], lo, spec, root, lane)
-        exact_total += int(chunk.sum()) if spec.exact else 0
-    np.cumsum(full, out=full)
+
+    def sieve_and_sum() -> int:
+        exact_total = 0  # in Python ints: an int64 wrap in the cumsum cannot match it
+        for lo in range(1, limit + 1, _CHUNK):
+            chunk = _sieve_in_lane(full[lo : lo + _CHUNK], lo, spec, root, lane)
+            exact_total += int(chunk.sum()) if spec.exact else 0
+        np.cumsum(full, out=full)
+        return exact_total
+
+    # as in summatory_bruteforce: every cumulative sum is at most limit times 4 limit**(alpha + 1)
+    exact_total = float64_guarded(spec.alpha, (spec.alpha + 2) * limit.bit_length() + 2, sieve_and_sum)
     if spec.exact and (int(full[-1]) != exact_total or full.min() < 0):
         raise OverflowError("cumulative sums exceeded int64")
     return full

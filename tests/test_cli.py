@@ -253,7 +253,7 @@ def test_verify_closed_pipe_no_traceback():
 def test_verify_failure_exit_3(monkeypatch):
     import cwlab.cli as cli
 
-    def broken(rng):
+    def broken(rng, inv):
         raise AssertionError("forced failure")
 
     monkeypatch.setattr(cli, "_SUITES", [("stub", "never printed", broken)])
@@ -403,6 +403,39 @@ def test_float_alpha_overflow_exit_2(argv):
     assert (code, out) == (2, "")
     assert err == (f"error: alpha = {alpha} is too large: d**alpha or a sum of such terms overflows "
                    "float64; pass a smaller alpha\n")
+
+
+@pytest.mark.parametrize("argv, kernels", [
+    (["divisor", "--n", "36", "--alpha", "100000000"], [("divisors", "divisor_sum_restricted")]),
+    (["summatory", "--x", "1000000", "--alpha", "100000"], [("cli", "summatory_fast")]),
+    (["summatory", "--x", "1000000", "--alpha", "100000", "--mode", "both"],
+     [("cli", "summatory_fast"), ("cli", "summatory_bruteforce")]),
+], ids=["divisor", "summatory", "summatory-both"])
+def test_overlong_exact_alpha_refused_before_work(monkeypatch, argv, kernels):
+    # the value is at least D**alpha, which provably passes the digit limit: no kernel runs
+    import cwlab.cli as cli
+    from cwlab import divisors
+
+    def never(*args):
+        raise AssertionError("the kernel ran")
+
+    for module, name in kernels:
+        monkeypatch.setattr({"cli": cli, "divisors": divisors}[module], name, never)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    hint = "pass a smaller --alpha or --n" if argv[0] == "divisor" else "pass a smaller --alpha or --x"
+    assert err == f"error: the exact value has more than 4300 digits, too many to print; {hint}\n"
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (["divisor", "--n", "36", "--alpha", "5525"], 4300),      # 6**5525 < sigma < 2 * 6**5525
+    (["summatory", "--x", "10000", "--alpha", "2149"], 4299),  # the d = D = 100 term leads
+], ids=["divisor", "summatory"])
+def test_exact_alpha_just_under_the_digit_bound_prints(argv, digits):
+    code, out, err = run(argv)
+    assert code == 0, err
+    value = out.splitlines()[1].split(",")[4 if argv[0] == "summatory" else 3]
+    assert len(value) == digits
 
 
 def test_divisor_enumerates_once(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from math import isqrt
 
 import numpy as np
@@ -155,6 +156,19 @@ def test_boundary_inclusion():
 def test_table_overflow_guard():
     with pytest.raises(OverflowError):
         restricted_sigma_table(10**6, DivisorSpec(2, 12))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: restricted_sigma_table(10**5, DivisorSpec(2, 300.0)),
+    lambda: summatory.summatory_bruteforce_table(10**5, DivisorSpec(2, 300.0)),
+    lambda: sigma_alpha(36, 10000.0),
+], ids=["restricted_sigma_table", "summatory_bruteforce_table", "sigma_alpha"])
+def test_float_alpha_past_float64_refused(call):
+    # a ValueError that names alpha, not a bare OverflowError (34, 'Numerical result out of range')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"alpha = \S+ is too large: .* overflows float64"):
+            call()
 
 
 def test_divisors_work_budget():

@@ -1,0 +1,62 @@
+"""mpmath is loaded only by the paths that compute with it.
+
+Each case runs in a fresh interpreter, so sys.modules shows what importing
+cwlab and running one command loaded.  Where a golden output exists, the
+command's stdout must still match it byte for byte.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cwlab
+
+DATA = Path(__file__).parent / "data"
+
+# runs `cwlab <argv>` and reports on stderr whether mpmath was loaded
+PROBE = (
+    "import sys\n"
+    "from cwlab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print('mpmath' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(cwlab.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_import_cwlab_leaves_mpmath_out():
+    proc = _python("-c", "import sys, cwlab; print('mpmath' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+# argv, whether the command loads mpmath, golden file or expected last line of stdout
+CASES = [
+    (["divisor", "--n", "36"], False, "36,2,0,5,9,5,1"),
+    (["summatory", "--a", "2", "--alpha", "1", "--x", "1000", "--mode", "both"], False, "golden_summatory.csv"),
+    (["gsum", "--a", "2", "--alpha", "1", "--j", "2", "--x", "1000", "--format", "json"], False, "golden_gsum.json"),
+    (["gsum", "--a", "5/2", "--x", "1000"], False, "5/2,0,1,1000,15,-40919/18018"),
+    (["bw", "--n", "3", "--x", "16"], False, "3,16,0,0,-19/30"),
+    (["pairs", "--word", "BA", "--seed", "13/84,55/84", "--j", "2"], False, "golden_pairs.csv"),
+    (["gsum", "--a", "2.5", "--x", "1000"], True, "2.5,0,1,1000,15,-40919/18018"),
+    (["asympt", "--a", "2", "--alpha", "1", "--x", "1000", "--format", "json"], True, "golden_asympt.json"),
+    (["fit", "--a", "2", "--alpha", "1", "--grid", "100:10:4", "--format", "json"], True, "golden_fit.json"),
+]
+
+
+@pytest.mark.parametrize("argv, loads, expected", CASES, ids=[" ".join(c[0][:3]) for c in CASES])
+def test_command_loads_mpmath_only_where_it_computes(argv, loads, expected):
+    proc = _python("-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{loads}\n"
+    if expected is not None and expected.startswith("golden_"):
+        assert proc.stdout == (DATA / expected).read_text()
+    elif expected is not None:
+        assert proc.stdout.splitlines()[-1] == expected
