@@ -42,7 +42,7 @@ import numpy as np
 
 # work budget of _divisors: isqrt(n) <= this (n < 1e16); about 0.2 s for a prime at the edge on a 2-vCPU x86-64 host
 _TRIAL_DIVISION_LIMIT = 10**8
-_TRIAL_CHUNK = 1 << 14  # trial divisors per chunk, as summatory._FAST_CHUNK
+_TRIAL_CHUNK = 1 << 14  # trial divisors per chunk; summatory imports it as _FAST_CHUNK
 # float64 0, 1, ..., 2^14, read-only: the float d chunks of summatory._d_chunks
 # are slices of it or _BASE[:k] + start written into a row; _divisors takes a
 # slice for one chunk, and past that the odd d 2 * _BASE[:-1] + 1 into a row
@@ -92,15 +92,22 @@ class DivisorSpec:
     def __post_init__(self):
         if not isinstance(self.a, int) or isinstance(self.a, bool) or self.a < 2:
             raise ValueError(f"restriction root a must be an integer >= 2, got {self.a!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
-            raise ValueError(f"alpha must be an int or float, got {self.alpha!r}")
-        require_finite(alpha=self.alpha)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        _exact_alpha(self.alpha)
 
     @property
     def exact(self) -> bool:
         return isinstance(self.alpha, int)
+
+
+def _exact_alpha(alpha) -> bool:
+    """Whether the weight exponent alpha selects exact-integer mode (an int) or real mode
+    (a float); a ValueError unless alpha is a finite int or float >= 0, not a bool."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ValueError(f"alpha must be an int or float, got {alpha!r}")
+    require_finite(alpha=alpha)
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    return isinstance(alpha, int)
 
 
 def integer_root(n: int, a: int) -> int:
@@ -217,9 +224,10 @@ def tau(n: int) -> int:
 
 
 def sigma_alpha(n: int, alpha):
-    """Full divisor power sum sigma_alpha(n) over all divisors."""
+    """Full divisor power sum sigma_alpha(n) over all divisors, alpha as in DivisorSpec."""
+    exact = _exact_alpha(alpha)
     divs = _divisors(n)
-    if isinstance(alpha, int) and not isinstance(alpha, bool):
+    if exact:
         return sum(d**alpha for d in divs)
     # at most n terms, each d**alpha <= n**alpha, as in divisor_sum_restricted
     return float64_guarded(alpha, (alpha + 1) * n.bit_length(), math.fsum, (d**alpha for d in divs))

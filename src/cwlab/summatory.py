@@ -2,17 +2,16 @@
 
 summatory_bruteforce enumerates every divisor pair n = d*k with
 k >= d**(a-1) and accumulates d^alpha per pair (vectorized, chunked, cost
-O(x log x)); its table form sieves chunk by chunk into its one output
-array and turns that into cumulative sums in place.  Both run the one
-sieve kernel, divisors._sieve_into, whose adds stay in cache: d <= 12 add
-one pattern of period lcm(1..12) = 27720, d <= 256 sweep 1 MB sub-blocks,
-and each entry still gets its adds in ascending d, so float tables are
+O(x log x)); its table form is the prefix sum of
+divisors.restricted_sigma_table, taken in place.  Both run the one sieve
+kernel, divisors._sieve_into, whose adds stay in cache: d <= 12 add one
+pattern of period lcm(1..12) = 27720, d <= 256 sweep 1 MB sub-blocks, and
+each entry still gets its adds in ascending d, so float tables are
 bit-for-bit those of one pass per d.  In integer mode the adds run in the
 narrowest integer lane that holds the proven entry cap (divisors._lane_dtype),
-so they cannot wrap: the table's lane is laid over its int64 chunk's own
-bytes and widened in place (divisors._sieve_in_lane), and the total's chunk
-buffer is in the lane dtype and summed in int64.  summatory_fast needs
-only O(x^(1/a)) terms: interchanging the summations gives
+so they cannot wrap: the total's chunk buffer is in the lane dtype and
+summed in int64.  summatory_fast needs only O(x^(1/a)) terms:
+interchanging the summations gives
 
     sum_{n <= x} sigma_{a,alpha}(n)
         = sum_{d <= x^(1/a)} d^alpha * (floor(x/d) - d^(a-1) + 1),
@@ -72,12 +71,12 @@ from functools import cached_property
 import numpy as np
 
 from .bernoulli import MAX_DEGREE, _scaled_coefficients
-from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_entry_bound, _sieve_in_lane, _sieve_into,
-                       float64_guarded, integer_root)
+from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
+from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_entry_bound, _sieve_into, float64_guarded,
+                       integer_root, restricted_sigma_table)
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
-_FAST_CHUNK = 1 << 14  # divisors._BASE must be longer than any chunk
 # work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
 # is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
 # at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks
@@ -187,11 +186,8 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             if alpha > 1:
                 t *= d if alpha == 2 else d ** (alpha - 1)
             s += int(t.sum())
-        if alpha >= MAX_DEGREE:  # two or three degrees past the closed form
-            s_lower, s_alpha, s_pow = _term_power_sums(cut, alpha, a)
-        else:
-            s_lower = _power_sum(cut, alpha - 1) if alpha else None
-            s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
+        s_lower = _power_sum(cut, alpha - 1) if alpha else None
+        s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
         s_floor = x * s_lower - s if alpha else s
     else:
         # every weight is at most cut**alpha, every product and sum at most x * cut**(alpha + 1)
@@ -238,8 +234,7 @@ def _power_sum(n: int, m: int) -> int:
     integer-scaled coefficients, so the cost does not grow with n.  Past
     bernoulli.MAX_DEGREE the coefficients would cost more than the terms
     (their recurrence grows faster than quadratically in the degree), so
-    d^m is summed directly (summatory_fast takes its two or three degrees
-    past it from _term_power_sums, in one pass).
+    d^m is summed directly.
     """
     if m == 0:
         return n
@@ -250,24 +245,6 @@ def _power_sum(n: int, m: int) -> int:
     for ck in reversed(c):
         acc = acc * (n + 1) + ck
     return (acc - sum(c)) // (den_c * (m + 1))
-
-
-def _term_power_sums(n: int, alpha: int, a: int) -> tuple[int, int, int]:
-    """sum_{d <= n} d^m for m = alpha - 1, alpha and alpha + a - 1 (alpha >= 1), in one pass.
-
-    For summatory_fast at alpha >= bernoulli.MAX_DEGREE, where _power_sum
-    would sum two or three of the degrees term by term: here each d costs
-    one power of degree alpha - 1 and a few multiplies, not two or three
-    powers of degree 64 or more.
-    """
-    lower = mid = top = 0
-    for d in range(1, n + 1):
-        t = d ** (alpha - 1)
-        lower += t
-        t *= d
-        mid += t
-        top += t * d ** (a - 1)
-    return lower, mid, top
 
 
 def _quotient(x: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -478,26 +455,19 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
 def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """Cumulative array c with c[n] = sum_{m <= n} sigma_{a,alpha}(m).
 
-    Batch form of the brute-force oracle for sweeps; the cumulative total is
-    re-verified against an independently accumulated Python-int sum so an
+    Batch form of the brute-force oracle for sweeps: the prefix sum of
+    restricted_sigma_table, taken in place.  In integer mode the last entry
+    is re-verified against the table's total summed in Python ints, so an
     int64 wrap cannot go unnoticed.
     """
     if limit < 1 or limit > BRUTEFORCE_LIMIT:
         raise ValueError(f"limit must be in [1, {BRUTEFORCE_LIMIT}]")
-    root = _brute_root(limit, spec)
-    full = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
-    lane = _lane_dtype(limit, root, spec)
-
-    def sieve_and_sum() -> int:
-        exact_total = 0  # in Python ints: an int64 wrap in the cumsum cannot match it
-        for lo in range(1, limit + 1, _CHUNK):
-            chunk = _sieve_in_lane(full[lo : lo + _CHUNK], lo, spec, root, lane)
-            exact_total += int(chunk.sum()) if spec.exact else 0
-        np.cumsum(full, out=full)
-        return exact_total
-
+    _brute_root(limit, spec)  # refuses before the table is allocated
+    full = restricted_sigma_table(limit, spec)
+    if spec.exact:  # in Python ints over int64 sums of _CHUNK entries, which _brute_root proves fit
+        total = sum(int(full[lo : lo + _CHUNK].sum()) for lo in range(0, limit + 1, _CHUNK))
     # as in summatory_bruteforce: every cumulative sum is at most limit times 4 limit**(alpha + 1)
-    exact_total = float64_guarded(spec.alpha, (spec.alpha + 2) * limit.bit_length() + 2, sieve_and_sum)
-    if spec.exact and (int(full[-1]) != exact_total or full.min() < 0):
+    float64_guarded(spec.alpha, (spec.alpha + 2) * limit.bit_length() + 2, lambda: np.cumsum(full, out=full))
+    if spec.exact and (int(full[-1]) != total or full.min() < 0):  # an int64 wrap cannot match total
         raise OverflowError("cumulative sums exceeded int64")
     return full

@@ -29,8 +29,11 @@ from cwlab.summatory import summatory_bruteforce, summatory_bruteforce_table
 def test_spec_validation():
     with pytest.raises(ValueError):
         DivisorSpec(1, 0)
-    with pytest.raises(ValueError):
-        DivisorSpec(2, -1)
+    for bad in (-1, True, math.nan):  # sigma_alpha takes alpha by the same rule
+        with pytest.raises(ValueError, match="alpha"):
+            DivisorSpec(2, bad)
+        with pytest.raises(ValueError, match="alpha"):
+            sigma_alpha(36, bad)
     assert DivisorSpec(2, 0).exact
     assert not DivisorSpec(2, 0.0).exact
 
@@ -82,6 +85,7 @@ def test_tau_sigma_square():
     assert tau(12) == 6
     assert tau(1) == 1
     assert sigma_alpha(6, 1) == 12
+    assert sigma_alpha(36, 0.5) == math.fsum(d**0.5 for d in (1, 2, 3, 4, 6, 9, 12, 18, 36))
     assert is_square(36) == 1
     assert is_square(35) == 0
 

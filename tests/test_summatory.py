@@ -151,20 +151,17 @@ def test_sieve_entry_bound_boundary():
         summatory_bruteforce(limit, DivisorSpec(2, 5))
 
 
-def test_bruteforce_chunking():
-    # totals and tables must not depend on chunk boundaries
-    import cwlab.summatory as s
-
-    spec = DivisorSpec(2, 1)
-    want = summatory_bruteforce(3 * 10**4, spec)
-    want_table = summatory_bruteforce_table(3 * 10**4, spec)
-    old = s._CHUNK
-    try:
-        s._CHUNK = 7_919
-        assert summatory_bruteforce(3 * 10**4, spec) == want
-        assert (summatory_bruteforce_table(3 * 10**4, spec) == want_table).all()
-    finally:
-        s._CHUNK = old
+def test_bruteforce_chunking(monkeypatch):
+    # exact totals and all tables must not depend on chunk boundaries, and the
+    # table is the prefix sum of restricted_sigma_table, equal with == for floats too
+    limit = 3 * 10**4
+    want = summatory_bruteforce(limit, DivisorSpec(2, 1))
+    for chunk in (s._CHUNK, 7_919):
+        monkeypatch.setattr(s, "_CHUNK", chunk)
+        assert summatory_bruteforce(limit, DivisorSpec(2, 1)) == want, chunk
+        for spec in (DivisorSpec(2, 1), DivisorSpec(3, 0), DivisorSpec(2, 0.5), DivisorSpec(3, 2.0)):
+            want_table = np.cumsum(restricted_sigma_table(limit, spec))
+            assert (summatory_bruteforce_table(limit, spec) == want_table).all(), (spec, chunk)
 
 
 def test_bruteforce_table_peak_memory():
@@ -581,9 +578,8 @@ def test_breakdown_keeps_power_sum(monkeypatch):
     # summatory_fast built; past bernoulli.MAX_DEGREE a second sum would be
     # another term-by-term pass over d
     passes = []
-    power_sum, term_power_sums = s._power_sum, s._term_power_sums
+    power_sum = s._power_sum
     monkeypatch.setattr(s, "_power_sum", lambda n, m: passes.append(m) or power_sum(n, m))
-    monkeypatch.setattr(s, "_term_power_sums", lambda *args: passes.append(args) or term_power_sums(*args))
     x = 10**6 + 3
     for alpha in (1, 2, 70):
         b = summatory_fast(x, DivisorSpec(2, alpha))
