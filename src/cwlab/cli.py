@@ -117,13 +117,14 @@ def _emit(command: str, params: dict, rows: list[dict], args, fit: dict | None =
 
 
 def _parse_grid(text: str) -> GridSpec:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be x0:ratio:count, got {text!r}")
-    x0, ratio, count = int(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        x0, ratio, count = text.split(":")
+        x0, ratio, count = int(x0), float(ratio), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must be x0:ratio:count, got {text!r}") from None
     try:
         return GridSpec(x0, ratio, count)
-    except ValueError as exc:  # argparse then shows this message, which names the field
+    except ValueError as exc:  # its message names the field
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -133,7 +134,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ValueError(f"expected true or false, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
 def _parse_number(text: str):
@@ -143,12 +144,12 @@ def _parse_number(text: str):
         return int(t)
     except ValueError:
         pass
-    if "/" in t:
-        try:
-            return Fraction(t)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    return float(t)
+    try:
+        return Fraction(t) if "/" in t else float(t)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, p/q or a float, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

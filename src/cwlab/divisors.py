@@ -26,9 +26,9 @@ and floor cost a fraction of the hardware integer division of an int64
 m % d.  From 2**53 on the test is m % d in int64: every n the budget
 accepts is below (10**8 + 1)**2 < 2**63, so m, d and m % d are exact int64
 values.  The sums over the divisors run on Python ints, so they cannot wrap.
-The batch sieves refuse, behind explicit magnitude guards, any table
-whose proven entry cap _sieve_entry_bound does not fit int64, and add in
-the narrowest integer lane that holds the cap (_lane_dtype).
+The batch sieves add in the narrowest integer lane that holds the proven
+entry cap, and refuse any table whose cap no int64 holds before allocating
+it (_lane_dtype).
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ def require_finite(**values) -> None:
     for name, v in values.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an int, not a bool, and at least least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def float64_guarded(alpha, log2_top: float, fn, *args):
@@ -260,11 +268,6 @@ def tau_tilde_via_identity(n: int, t: int | None = None) -> int:
 # sweep scale (the per-(d,k) pair enumeration, executed vectorized).
 # ---------------------------------------------------------------------------
 
-def _sieve_entry_bound(x: int, root: int, alpha: int) -> int:
-    """Bound on sigma_{a,alpha}(n), n <= x: < 2 sqrt(x) divisors, each power <= root**alpha."""
-    return root**alpha * 2 * (isqrt(x) + 1)
-
-
 # _sieve_into's tiers: divisors up to _WHEEL_D add one pattern of period
 # _WHEEL = lcm(1..12); divisors up to _BLOCK_D sweep sub-blocks of 1 MB,
 # within a 2 MB per-core L2 cache: _BLOCK int64 or float64 entries, and
@@ -326,17 +329,21 @@ def _sieve_into(arr: np.ndarray, lo: int, spec: DivisorSpec, root: int) -> np.nd
 
 def _lane_dtype(limit: int, root: int, spec: DivisorSpec) -> type:
     """The dtype _sieve_into adds in for n <= limit: float64 in float mode, else the
-    narrowest of int16, int32 and int64 that holds _sieve_entry_bound(limit, root, alpha).
+    narrowest of int16, int32 and int64 that holds the entry cap, or OverflowError.
 
-    Every add is a positive d**alpha, so each partial sum of an entry is at
-    most the entry, and so at most the bound: a lane that holds the bound
-    cannot wrap.  A narrower lane moves a quarter or half of int64's bytes
-    per strided add, and so fits four or two times the entries in a cache.
+    An entry sigma_{a,alpha}(n), n <= limit, adds fewer than 2 (isqrt(limit) + 1)
+    positive powers d**alpha <= root**alpha, so each of its partial sums is at
+    most the cap, their product: a lane that holds the cap cannot wrap.  A
+    narrower lane moves a quarter or half of int64's bytes per strided add,
+    and so fits four or two times the entries in a cache.
     """
     if not spec.exact:
         return np.float64
-    bound = _sieve_entry_bound(limit, root, spec.alpha)
-    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    cap = root**spec.alpha * 2 * (isqrt(limit) + 1)
+    for lane in (np.int16, np.int32, np.int64):
+        if cap <= np.iinfo(lane).max:
+            return lane
+    raise OverflowError("sieve entries may exceed int64; use divisor_sum_restricted per n instead")
 
 
 def _sieve_in_lane(out: np.ndarray, lo: int, spec: DivisorSpec, root: int, lane: type) -> np.ndarray:
@@ -368,19 +375,16 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """Array t with t[n] = sigma_{a,alpha}(n) for 1 <= n <= limit (t[0] = 0).
 
     Enumerates every pair n = d*k with k >= d**(a-1) and adds d**alpha.
-    Integer mode refuses (rather than wraps) if values could exceed int64,
-    float mode past float64.
+    Integer mode refuses (rather than wraps) before the table is allocated
+    if values could exceed int64 (_lane_dtype), float mode past float64.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    require_count("limit", limit, 1)
     root = integer_root(limit, spec.a)
-    if spec.exact and _sieve_entry_bound(limit, root, spec.alpha) >= 2**62:
-        raise OverflowError("restricted_sigma_table entries may exceed int64; "
-                            "use divisor_sum_restricted per n instead")
+    lane = _lane_dtype(limit, root, spec)
     out = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
     # every entry is at most limit**(alpha + 1), as in divisor_sum_restricted
     return float64_guarded(spec.alpha, (spec.alpha + 1) * limit.bit_length(),
-                           _sieve_in_lane, out, 0, spec, root, _lane_dtype(limit, root, spec))
+                           _sieve_in_lane, out, 0, spec, root, lane)
 
 
 def _sigma_table(limit: int, alpha: int) -> np.ndarray:
@@ -404,15 +408,13 @@ def _sigma_table(limit: int, alpha: int) -> np.ndarray:
 def tau_table(limit: int) -> np.ndarray:
     """Array t with t[n] = tau(n), 1 <= n <= limit (t[0] = 0), by the hyperbola split of _sigma_table:
     it splits at isqrt(limit), not at sqrt(n), so 2 tau~ = tau + 1_square stays a check."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    require_count("limit", limit, 1)
     return _sigma_table(limit, 0)
 
 
 def square_table(limit: int) -> np.ndarray:
     """Array t with t[n] = 1 iff n is a perfect square, 1 <= n <= limit."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    require_count("limit", limit, 1)
     table = np.zeros(limit + 1, dtype=np.int64)
     roots = np.arange(1, isqrt(limit) + 1, dtype=np.int64)
     table[roots * roots] = 1

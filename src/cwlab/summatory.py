@@ -9,9 +9,9 @@ pattern of period lcm(1..12) = 27720, d <= 256 sweep 1 MB sub-blocks, and
 each entry still gets its adds in ascending d, so float tables are
 bit-for-bit those of one pass per d.  In integer mode the adds run in the
 narrowest integer lane that holds the proven entry cap (divisors._lane_dtype),
-so they cannot wrap: the total's chunk buffer is in the lane dtype and
-summed in int64.  summatory_fast needs only O(x^(1/a)) terms:
-interchanging the summations gives
+so they cannot wrap, and every chunk and prefix sum is at most the total,
+which _brute_root bounds below 2**63.  summatory_fast needs only O(x^(1/a))
+terms: interchanging the summations gives
 
     sum_{n <= x} sigma_{a,alpha}(n)
         = sum_{d <= x^(1/a)} d^alpha * (floor(x/d) - d^(a-1) + 1),
@@ -72,8 +72,8 @@ import numpy as np
 
 from .bernoulli import MAX_DEGREE, _scaled_coefficients
 from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
-from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_entry_bound, _sieve_into, float64_guarded,
-                       integer_root, restricted_sigma_table)
+from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_into, float64_guarded, integer_root,
+                       require_count, restricted_sigma_table)
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
@@ -156,10 +156,7 @@ class SummatoryBreakdown:
 
 def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     """Sublinear evaluator: O(x^(1/a)) terms, exact in integer mode, float needs x < 2**63."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"x must be an integer, got {x!r}")
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    require_count("x", x, 0)
     if not spec.exact and x >= 2**63:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
@@ -414,11 +411,17 @@ def _int64_levels(num: np.ndarray, base: np.ndarray, e: int) -> tuple[np.ndarray
 
 
 def _brute_root(x: int, spec: DivisorSpec) -> int:
-    """The sieve's divisor range x^(1/a), past a guard that raises before anything
-    is allocated unless, in integer mode, every sum of _CHUNK entries fits int64."""
+    """The sieve's divisor range R = x^(1/a), past a guard that raises OverflowError
+    before anything is allocated unless, in integer mode, every sum fits int64.
+
+    The total T(x) = sum_{d <= R} d^alpha (floor(x/d) - d^(a-1) + 1) is at most
+    x sum_{d <= R} d^(alpha-1) <= x R^alpha H_R < x R^alpha (R.bit_length() + 1),
+    as the harmonic number H_R <= 1 + ln R.  Every entry is >= 0, so that
+    bounds every prefix and chunk sum too.
+    """
     root = integer_root(x, spec.a)
-    if spec.exact and _sieve_entry_bound(x, root, spec.alpha) * _CHUNK >= 2**63:
-        raise OverflowError("sieve chunk sums may exceed int64 at this scale")
+    if spec.exact and x * root**spec.alpha * (root.bit_length() + 1) >= 2**63:
+        raise OverflowError("brute-force sums may exceed int64 at this scale; use summatory_fast")
     return root
 
 
@@ -428,10 +431,7 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
     Guarded at x <= 10^8 (O(x log x) work); beyond that, refuse and point
     to summatory_fast.  Exact Python-int total in integer mode.
     """
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"x must be an integer, got {x!r}")
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    require_count("x", x, 0)
     if x > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute force is guarded at x <= {BRUTEFORCE_LIMIT}; use summatory_fast")
     root = _brute_root(x, spec)
@@ -448,7 +448,7 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
         return total
 
     # an entry is at most 2 (sqrt(x) + 1) root**alpha <= 4 x**(alpha + 1), a sum x times
-    # that; in exact mode nothing can overflow either way, as the lane holds every entry
+    # that; in exact mode the lane holds every entry and _brute_root bounds every sum
     return float64_guarded(spec.alpha, (spec.alpha + 2) * x.bit_length() + 2, chunk_sums)
 
 
@@ -456,18 +456,14 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     """Cumulative array c with c[n] = sum_{m <= n} sigma_{a,alpha}(m).
 
     Batch form of the brute-force oracle for sweeps: the prefix sum of
-    restricted_sigma_table, taken in place.  In integer mode the last entry
-    is re-verified against the table's total summed in Python ints, so an
-    int64 wrap cannot go unnoticed.
+    restricted_sigma_table, taken in place: in integer mode _brute_root
+    proves, before the table is allocated, that no prefix sum wraps int64.
     """
-    if limit < 1 or limit > BRUTEFORCE_LIMIT:
+    require_count("limit", limit, 1)
+    if limit > BRUTEFORCE_LIMIT:
         raise ValueError(f"limit must be in [1, {BRUTEFORCE_LIMIT}]")
-    _brute_root(limit, spec)  # refuses before the table is allocated
+    _brute_root(limit, spec)
     full = restricted_sigma_table(limit, spec)
-    if spec.exact:  # in Python ints over int64 sums of _CHUNK entries, which _brute_root proves fit
-        total = sum(int(full[lo : lo + _CHUNK].sum()) for lo in range(0, limit + 1, _CHUNK))
     # as in summatory_bruteforce: every cumulative sum is at most limit times 4 limit**(alpha + 1)
     float64_guarded(spec.alpha, (spec.alpha + 2) * limit.bit_length() + 2, lambda: np.cumsum(full, out=full))
-    if spec.exact and (int(full[-1]) != total or full.min() < 0):  # an int64 wrap cannot match total
-        raise OverflowError("cumulative sums exceeded int64")
     return full

@@ -168,7 +168,16 @@ def test_malformed_numbers_exit_2():
                 code, out, err = run(argv)
                 assert (code, out) == (2, ""), argv
                 assert err.count("error:") == 1 and err.startswith("error:"), (argv, err)
-                assert "Traceback" not in err, argv
+                assert "Traceback" not in err and "_parse_" not in err, (argv, err)
+    # a parser's own message, not argparse's "invalid _parse_... value"
+    for argv, message in ((["gsum", "--x", "1/0"], "zero denominator in '1/0'"),
+                          (["gsum", "--x", "ten"], "got 'ten'"),
+                          (["asympt", "--cw", "maybe"], "expected true or false, got 'maybe'"),
+                          (["fit", "--grid", "10:2"], "grid must be x0:ratio:count, got '10:2'"),
+                          (["fit", "--grid", "ten:2:3"], "grid must be x0:ratio:count")):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("error:") == 1 and message in err and "_parse_" not in err, (argv, err)
 
 
 def test_pairs_non_finite_without_j_exit_2():

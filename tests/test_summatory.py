@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from cwlab import invariants
 from cwlab import summatory as s
-from cwlab.divisors import DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table
+from cwlab.divisors import (DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table, square_table,
+                            tau_table)
 from cwlab.invariants import SPECS
 from cwlab.summatory import (
     _FAST_CUTOFF_LIMIT,
@@ -124,31 +125,41 @@ def test_bruteforce_guard():
 
 
 def test_bruteforce_overflow_guard():
-    # the int64 guard refuses before anything limit-sized is allocated
+    # the int64 guards refuse before anything limit-sized is allocated: the
+    # total of (10**6, (2, 6)) is about 4e22, and (2, 12) has entries past int64
     tracemalloc.start()
     try:
         with pytest.raises(OverflowError):
-            summatory_bruteforce(10**6, DivisorSpec(2, 3))
+            summatory_bruteforce(10**6, DivisorSpec(2, 6))
         with pytest.raises(OverflowError):
-            summatory_bruteforce_table(10**6, DivisorSpec(2, 3))
+            summatory_bruteforce_table(10**6, DivisorSpec(2, 6))
+        with pytest.raises(OverflowError):
+            restricted_sigma_table(10**6, DivisorSpec(2, 12))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # an int64 array of 10**6 entries is 8 MB
+    # its total, 1.3e14, fits int64 however many entries a chunk sums
+    assert summatory_bruteforce(10**6, DivisorSpec(2, 3)) == 133469155883732
 
 
-def test_sieve_entry_bound_boundary():
-    # at limit 10**4 (root 100) the entry bound is 100**alpha * 202: the table
-    # needs it below 2**62 (alpha <= 8), brute force times _CHUNK = 10**7
-    # below 2**63 (alpha <= 4)
+def test_sieve_entry_bound_boundary(monkeypatch):
+    # at limit 10**4 (root 100) the entry cap is 100**alpha * 202: the table
+    # needs it in int64 (alpha <= 8); brute force needs the total bound
+    # 10**4 * 100**alpha * 8 below 2**63 (alpha <= 7)
     limit = 10**4
     table = restricted_sigma_table(limit, DivisorSpec(2, 8))
     assert table[limit] == divisor_sum_restricted(limit, DivisorSpec(2, 8))
     with pytest.raises(OverflowError):
         restricted_sigma_table(limit, DivisorSpec(2, 9))
-    assert summatory_bruteforce(limit, DivisorSpec(2, 4)) == summatory_fast(limit, DivisorSpec(2, 4)).total
-    with pytest.raises(OverflowError):
-        summatory_bruteforce(limit, DivisorSpec(2, 5))
+    want = summatory_fast(limit, DivisorSpec(2, 7)).total
+    for chunk in (s._CHUNK, 7_919):
+        monkeypatch.setattr(s, "_CHUNK", chunk)
+        assert summatory_bruteforce(limit, DivisorSpec(2, 7)) == want, chunk
+        assert summatory_bruteforce_table(limit, DivisorSpec(2, 7))[-1] == want, chunk
+        for refused in (summatory_bruteforce, summatory_bruteforce_table):
+            with pytest.raises(OverflowError):
+                refused(limit, DivisorSpec(2, 8))
 
 
 def test_bruteforce_chunking(monkeypatch):
@@ -298,6 +309,20 @@ def test_input_validation():
         summatory_fast(10.5, DivisorSpec(2, 0))
     with pytest.raises(ValueError):
         summatory_bruteforce(-2, DivisorSpec(2, 0))
+    # every count argument takes one check: an int, not a bool, in range
+    spec = DivisorSpec(2, 1)
+    calls = [lambda v: summatory_fast(v, spec), lambda v: summatory_bruteforce(v, spec),
+             lambda v: summatory_bruteforce_table(v, spec), lambda v: restricted_sigma_table(v, spec),
+             tau_table, square_table]
+    for call in calls:
+        for bad in (1e4, 10.0, True, "10", None, np.float64(10)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(bad)
+        with pytest.raises(ValueError, match="must be >= "):
+            call(-1)
+    for call in calls[2:]:
+        with pytest.raises(ValueError, match="must be >= 1"):
+            call(0)
 
 
 def test_fast_work_budget():
