@@ -199,7 +199,8 @@ def euler_maclaurin_partial_sum(x, a, beta, dps: int = DEFAULT_DPS):
 
     The O-term is omitted; beta < -1 is out of contract.  The sawtooth at
     the cutoff uses the exact integer floor, so perfect a-th powers land on
-    psi = -1/2 exactly.
+    psi = -1/2 exactly.  A Fraction a or beta enters at the working
+    precision (_mpf), not rounded to a float.
     """
     require_finite(x=x, a=a, beta=beta)
     if beta < -1:
@@ -215,12 +216,11 @@ def euler_maclaurin_partial_sum(x, a, beta, dps: int = DEFAULT_DPS):
             floor_root = integer_root(x, a) if a >= 2 else x
         else:
             floor_root = gsum_cutoff(x, a)
-        root = mp.sqrt(xm) if a == 2 else xm ** (mp.mpf(1) / mp.mpf(float(a)))
+        am, b = _mpf(a), _mpf(beta)
+        root = mp.sqrt(xm) if a == 2 else xm ** (mp.mpf(1) / am)
         psi_root = root - floor_root - mp.mpf(1) / 2
         if beta == -1:
-            return mp.log(xm) / mp.mpf(float(a)) + euler_gamma(dps) - psi_root / root
-        b = mp.mpf(float(beta))
-        am = mp.mpf(float(a))
+            return mp.log(xm) / am + euler_gamma(dps) - psi_root / root
         return (
             xm ** ((b + 1) / am) / (b + 1)
             - psi_root * xm ** (b / am)

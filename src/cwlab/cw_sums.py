@@ -6,7 +6,8 @@ with B_j the periodic Bernoulli functions (B_0 = 1, B_1 = psi).  a = 2
 recovers the classical sums whose cancellation behaviour the Chowla-Walum
 conjecture quantifies; j = 0 additionally admits negative alpha.
 
-Exact mode (integer x, integer alpha) splits every term at its remainder
+Exact mode (integer x, integer alpha) takes the power sums (j = 0, alpha >= 0)
+from summatory._power_sum and splits every other term at its remainder
 r = x mod d into an integer part, summed over numpy chunks in int64 where a
 bound proves it safe, and a proper fraction s/d^e.  The fractions of each
 chunk are summed by summatory._fraction_sum, a pairwise tree on the pairs
@@ -16,7 +17,7 @@ closed-form bound allows, the rest on Python ints.  One more tree sums the
 chunk sums, the common denominator (lcm of the d)^e is formed once, and one
 Fraction at the end, so cancellation-prone values are never touched by
 rounding.  Exact shifted psi block sums run the same tree over their N
-exact psi values, and alpha = 0 harmonic sums (summatory) over the 1/d.
+exact psi values, and the harmonic sums of summatory's breakdown over the 1/d.
 Float mode is a double-precision pass over the same chunks of d, within
 the summatory_fast work budget, building no array per chunk: every
 intermediate is written into three float64 rows allocated once per call.
@@ -30,10 +31,10 @@ territory.  Below x = 2^53, r = x - d*q with the float64 quotient
 q = summatory._quotient(x, d), which is exact (d*q <= x and x - d*q are
 integers below 2^53); from 2^53 on r is an integer remainder.
 
-The cutoff D = floor(x^(1/a)) is always decided in integer or extended
-precision arithmetic: integer a compares d**a <= x exactly, rational a = p/q
-compares d**p <= x**q exactly, and float a falls back to 40-digit log
-comparisons with a +-2 correction sweep.
+The cutoff D = floor(x^(1/a)) is decided exactly for integer a and for
+a = p/q, a Fraction or a float with q <= 16, as D**p <= floor(x**q); any
+other float a, where an exact tie needs x >= 2**33, by 40-digit logs with a
++-2 correction sweep.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import summatory
 from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
-from .divisors import float64_guarded, integer_root, require_finite
+from .divisors import float64_guarded, integer_root, require_count, require_finite
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
 # the common denominator grows by about 0.43 * e digits a term; at the limit
@@ -97,21 +98,22 @@ class GSumSpec:
 
 
 def gsum_cutoff(x, a) -> int:
-    """Largest integer D >= 0 with D**a <= x."""
+    """Largest integer D >= 0 with D**a <= x, exact for integer a and for a = p/q, a Fraction
+    or a float with q <= 16, as D**p <= floor(x**q) for int and float x (module docstring)."""
     if x < 0:
         raise ValueError("x must be >= 0")
     if x < 1:
         return 0
     if isinstance(a, int) and not isinstance(a, bool):
         return integer_root(math.floor(x), a)
-    if isinstance(a, Fraction) and isinstance(x, int):
-        # D <= x^(q/p)  <=>  D**p <= x**q, an exact integer comparison
-        return integer_root(x**a.denominator, a.numerator)
-    # float a (or float x with fractional a): 40-digit monotone comparison
+    if isinstance(a, float) and Fraction(a).denominator <= 16:
+        a = Fraction(a)
+    if isinstance(a, Fraction):
+        return integer_root(math.floor(Fraction(x) ** a.denominator), a.numerator)
     from mpmath import mp
     with mp.workdps(40):
         lx = mp.log(mp.mpf(x))
-        la = mp.mpf(a) if not isinstance(a, Fraction) else mp.mpf(a.numerator) / a.denominator
+        la = mp.mpf(a)
         d = int(mp.floor(mp.exp(lx / la)))
         while d > 0 and la * mp.log(d) > lx:
             d -= 1
@@ -131,8 +133,10 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     the fraction tree summatory._fraction_sum as arrays, which returns
     (n, b) with the chunk sum n / b^e, b the lcm of the chunk's d.  One more
     tree sums the chunk sums the same way, and the denominator b^e is formed
-    once.  Int for j = 0 and alpha >= 0, Fraction otherwise.
+    once.  At j = 0, alpha >= 0 it is an int, two summatory._power_sum apart.
     """
+    if j == 0 and alpha >= 0:
+        return summatory._power_sum(hi, alpha) - summatory._power_sum(lo - 1, alpha) if lo <= hi else 0
     e, lift = max(j - alpha, 0), max(alpha - j, 0)
     if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
         raise ValueError(
@@ -163,8 +167,6 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
         num, base = summatory._fraction_sum(s[keep], d[keep], e)
         nums.append(num)
         bases.append(base)
-    if j == 0 and alpha >= 0:
-        return whole
     num, base = summatory._fraction_sum(nums, bases, e)
     den = base**e
     return Fraction(whole * den + num, den * den_c)
@@ -254,8 +256,7 @@ def block_g(n_start: int, spec: GSumSpec):
     Summing block_g over n_start = 1, 2, 4, ... plus the d = 1 head term
     reassembles g_sum exactly in exact mode.
     """
-    if n_start < 1:
-        raise ValueError("block start must be >= 1")
+    require_count("block start", n_start, 1)
     cut = spec.cutoff
     lo, hi = n_start + 1, min(2 * n_start, cut)
     if spec.exact:

@@ -99,11 +99,13 @@ def integer_root_exact(rng, draws: int) -> None:
 
 
 def j0_consistency(rng, draws: int) -> None:
-    """G_{a,0,0}(x) = integer_root(x, a) at random x < 1e6, a in (2, 3, 5)."""
+    """G_{a,m,0}(x) = sum_{d <= x^(1/a)} d^m, summed term by term, at random x < 1e6, a in (2, 3, 5), m in 0..3."""
     for _ in range(draws):
         x = rng.randrange(1, 10**6)
         for a in (2, 3, 5):
-            _check(g_sum(GSumSpec(a, 0, 0, x)) == integer_root(x, a), "j=0 consistency", x=x, a=a)
+            ds = range(1, integer_root(x, a) + 1)
+            for m in range(4):
+                _check(g_sum(GSumSpec(a, m, 0, x)) == sum(d**m for d in ds), "j=0 consistency", x=x, a=a, m=m)
 
 
 def psi_bound(rng, draws: int) -> None:
@@ -145,13 +147,18 @@ def oracle_equivalence(rng, limit: int, exhaustive: int, draws: int) -> None:
 
 
 def breakdown_identity(rng, draws: int) -> None:
-    """The four breakdown terms equal their G sums and add up to the total, at random x < 20000."""
+    """At random x < 20000, the four breakdown terms equal their G sums and a
+    term-by-term Fraction loop over d <= x^(1/a) (cutoff at most 141), and add up to the total."""
     for _ in range(draws):
         x, spec = rng.randrange(1, 20_000), rng.choice(SPECS)
         b, a, alpha = summatory_fast(x, spec), spec.a, spec.alpha
         want = (x * g_sum(GSumSpec(a, alpha - 1, 0, x)), -g_sum(GSumSpec(a, alpha + a - 1, 0, x)),
                 Fraction(g_sum(GSumSpec(a, alpha, 0, x)), 2), -g_sum(GSumSpec(a, alpha, 1, x)))
-        _check(b.terms() == want and sum(want) == b.total, "breakdown", x=x, spec=spec)
+        ds = range(1, integer_root(x, a) + 1)
+        loop = (x * sum(Fraction(d) ** (alpha - 1) for d in ds), -sum(d ** (alpha + a - 1) for d in ds),
+                Fraction(sum(d**alpha for d in ds), 2),
+                -sum(d**alpha * (Fraction(x % d, d) - Fraction(1, 2)) for d in ds))
+        _check(b.terms() == want == loop and sum(want) == b.total, "breakdown", x=x, spec=spec)
 
 
 def summatory_monotone(stop: int) -> None:

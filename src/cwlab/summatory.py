@@ -58,7 +58,8 @@ float, so every later partial sum, and the total, stay at or above 2^53.
 A float total below 2^53 is therefore exact; past it the quotients are
 summed again in int64, exact under _fast_sum_bound.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
-exact integer equality, not a tolerance.
+exact integer equality, not a tolerance.  _power_sum runs before the chunks,
+so its budget refuses first; every other G sum is a cw_sums range kernel.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import cw_sums
 from .bernoulli import MAX_DEGREE, _scaled_coefficients
 from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
 from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_into, float64_guarded, integer_root,
@@ -94,8 +96,9 @@ class SummatoryBreakdown:
 
     total is eager (exact int in integer mode).  The component terms are
     materialized lazily: term_main and term_psi require sum d^(alpha-1),
-    which for alpha = 0 is a harmonic number whose exact denominator grows
-    like e^cutoff — affordable on demand, wasteful on every call.
+    at exact alpha = 0 a harmonic number whose exact denominator grows like
+    e^cutoff: cw_sums' exact range sum (its float one at float alpha), so
+    they refuse a cutoff past cw_sums._EXACT_TERMS_LIMIT.
     Their exact identity  total = main + power + half + psi  holds whenever
     they are materialized.
     """
@@ -114,15 +117,8 @@ class SummatoryBreakdown:
     def _sum_alpha_minus_one(self):
         if self._s_lower is not None:
             return self._s_lower
-        alpha, cut = self.spec.alpha, self.cutoff
-        if self.spec.exact:  # alpha = 0: the harmonic number H_cut
-            nums, dens = [], []
-            for d in _d_chunks(1, cut, None):
-                num, den = _fraction_sum(np.ones_like(d), d)
-                nums.append(num)
-                dens.append(den)
-            return Fraction(*_fraction_sum(nums, dens))
-        return math.fsum(d ** (alpha - 1.0) for d in range(1, cut + 1))
+        kernel = cw_sums._exact_range_sum if self.spec.exact else cw_sums._float_range_sum
+        return kernel(self.x, self.spec.alpha - 1, 0, 1, self.cutoff)
 
     @property
     def _x_half(self):
@@ -163,6 +159,8 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     cut = integer_root(x, a) if x >= 1 else 0
     s_lower = None
     if spec.exact:
+        s_lower = _power_sum(cut, alpha - 1) if alpha else None
+        s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
         s = 0  # sum floor(x/d) at alpha = 0, else sum d^(alpha-1) * (x mod d)
         # below 2**53 the quotients go to one row, and at alpha 0 and 1 d is
         # float and, at alpha = 1, so are the chunk sums (module docstring)
@@ -183,8 +181,6 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
             if alpha > 1:
                 t *= d if alpha == 2 else d ** (alpha - 1)
             s += int(t.sum())
-        s_lower = _power_sum(cut, alpha - 1) if alpha else None
-        s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
         s_floor = x * s_lower - s if alpha else s
     else:
         # every weight is at most cut**alpha, every product and sum at most x * cut**(alpha + 1)
@@ -231,11 +227,13 @@ def _power_sum(n: int, m: int) -> int:
     integer-scaled coefficients, so the cost does not grow with n.  Past
     bernoulli.MAX_DEGREE the coefficients would cost more than the terms
     (their recurrence grows faster than quadratically in the degree), so
-    d^m is summed directly.
+    d^m is summed directly, refused past n = cw_sums._EXACT_TERMS_LIMIT.
     """
     if m == 0:
         return n
     if m >= MAX_DEGREE:
+        if n > cw_sums._EXACT_TERMS_LIMIT:
+            raise ValueError(f"{n} terms of degree {m} exceed the work budget of {cw_sums._EXACT_TERMS_LIMIT}")
         return sum(d**m for d in range(1, n + 1))
     den_c, c = _scaled_coefficients(m + 1)
     acc = 0

@@ -21,7 +21,7 @@ from cwlab.asymptotics import (
     sqrt_restricted_model,
 )
 from cwlab.cli import main
-from cwlab.divisors import DivisorSpec
+from cwlab.divisors import DivisorSpec, integer_root
 from cwlab.summatory import summatory_fast
 
 
@@ -144,6 +144,26 @@ def test_em_perfect_square_beta1():
 
 def test_em_beta1_residual_window():
     invariants.em_residual_window(random.Random(71), 500)
+
+
+def test_em_rational_a_and_beta_at_working_precision():
+    # Fraction a and beta are not rounded to floats: against the closed form
+    # at 80 digits the 50-digit value is right far past double precision
+    x = 10**12
+    for a in (Fraction(4, 3), Fraction(5, 3), Fraction(7, 5)):
+        floor_root = integer_root(x**a.denominator, a.numerator)
+        for beta in (Fraction(1), Fraction(1, 3), Fraction(-1), Fraction(0)):
+            got = euler_maclaurin_partial_sum(x, a, beta)
+            with mp.workdps(80):
+                am, b, xm = mp.mpf(a.numerator) / a.denominator, mp.mpf(beta.numerator) / beta.denominator, mp.mpf(x)
+                root = xm ** (1 / am)
+                psi_root = root - floor_root - mp.mpf(1) / 2
+                if beta == -1:
+                    want = mp.log(xm) / am + mp.euler - psi_root / root
+                else:
+                    want = (xm ** ((b + 1) / am) / (b + 1) - psi_root * xm ** (b / am)
+                            + mp.mpf(1) / 2 - b / 8 - 1 / (b + 1))
+                assert abs(got - want) <= mp.mpf("1e-45") * abs(want), (a, beta)
 
 
 def test_em_rejects_bad_beta():

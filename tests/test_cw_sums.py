@@ -129,8 +129,9 @@ def test_g_sum_brutal_oracle():
 def test_block_examples():
     assert block_g(1, GSumSpec(2, 0, 1, 4)) == Fraction(-1, 2)
     assert block_g(99, GSumSpec(2, 0, 1, 4)) == 0
-    with pytest.raises(ValueError):
-        block_g(0, GSumSpec(2, 0, 1, 4))
+    for bad in (0, 2.0, True):
+        with pytest.raises(ValueError, match="block start must be"):
+            block_g(bad, GSumSpec(2, 0, 1, 4))
 
 
 def test_block_decomposition_reassembles():
@@ -161,6 +162,15 @@ def test_cutoff_rational_and_float_a():
         x = rng.randrange(1, 10**9)
         assert gsum_cutoff(x, 1.5) == gsum_cutoff(x, Fraction(3, 2))
         assert gsum_cutoff(x, 3.0) == gsum_cutoff(x, 3)
+    # both sides of every perfect-power boundary x = u**p, where (u**q)**(p/q) = x:
+    # the cutoff is u**q at x and u**q - 1 just below it, for int and float x
+    for a in (2.0, 3.0, 4.0, 5.0, 1.5, 2.5, 1.25, Fraction(4, 3), Fraction(5, 3), Fraction(3, 2)):
+        p, q = Fraction(a).numerator, Fraction(a).denominator
+        for u in range(1, 200):
+            x, t = u**p, u**q
+            assert (gsum_cutoff(x, a), gsum_cutoff(x - 1, a)) == (t, t - 1), (a, x)
+            if x < 2**52:
+                assert (gsum_cutoff(float(x), a), gsum_cutoff(x - 0.5, a)) == (t, t - 1), (a, x)
 
 
 def test_g_sum_real_a():
@@ -351,6 +361,26 @@ def test_exact_work_budget():
         g_sum(GSumSpec(2, 0, 4, (2**18 + 1) ** 2))
     # float mode is bounded by the summatory_fast cutoff budget, far above this
     assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)
+
+
+def test_j0_power_sums_take_the_closed_form():
+    # G_{a,m,0} for m >= 0 is summatory._power_sum at any cutoff: Faulhaber at n = 10**15
+    n = 10**15
+    faulhaber = (n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, (n * (n + 1) // 2) ** 2)
+    for m, want in enumerate(faulhaber):
+        assert same(g_sum(GSumSpec(2, m, 0, 10**30)), want), m
+    # empty, partial and full blocks equal a loop, also past bernoulli.MAX_DEGREE
+    spec_x = 10**6 + 3  # cutoff 1000 at a = 2
+    for m in (0, 1, 2, 3, MAX_DEGREE, MAX_DEGREE + 6):
+        spec = GSumSpec(2, m, 0, spec_x)
+        for n_start in (1, 300, 600, 999, 1000, 5000):
+            want = sum(d**m for d in range(n_start + 1, min(2 * n_start, 1000) + 1))
+            assert same(block_g(n_start, spec), want), (m, n_start)
+    # past MAX_DEGREE the power sum is refused by its upper end, before its loop;
+    # an empty block past that end is still 0
+    with pytest.raises(ValueError, match="work budget"):
+        block_g(_EXACT_TERMS_LIMIT, GSumSpec(2, MAX_DEGREE, 0, 10**20))
+    assert same(block_g(_EXACT_TERMS_LIMIT + 1, GSumSpec(2, MAX_DEGREE, 0, (_EXACT_TERMS_LIMIT + 1) ** 2)), 0)
 
 
 def test_shifted_psi_block_work_budget():

@@ -27,9 +27,9 @@ PROBE = (
 )
 
 
-def _python(*args) -> subprocess.CompletedProcess:
+def _python(*args, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(cwlab.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_import_cwlab_leaves_mpmath_out():
@@ -45,7 +45,8 @@ CASES = [
     (["gsum", "--a", "5/2", "--x", "1000"], False, "5/2,0,1,1000,15,-40919/18018"),
     (["bw", "--n", "3", "--x", "16"], False, "3,16,0,0,-19/30"),
     (["pairs", "--word", "BA", "--seed", "13/84,55/84", "--j", "2"], False, "golden_pairs.csv"),
-    (["gsum", "--a", "2.5", "--x", "1000"], True, "2.5,0,1,1000,15,-40919/18018"),
+    (["gsum", "--a", "2.5", "--x", "1000"], False, "2.5,0,1,1000,15,-40919/18018"),
+    (["gsum", "--a", "2.7", "--x", "1000"], True, "2.7,0,1,1000,12,-1933/693"),
     (["asympt", "--a", "2", "--alpha", "1", "--x", "1000", "--format", "json"], True, "golden_asympt.json"),
     (["fit", "--a", "2", "--alpha", "1", "--grid", "100:10:4", "--format", "json"], True, "golden_fit.json"),
 ]
@@ -60,3 +61,10 @@ def test_command_loads_mpmath_only_where_it_computes(argv, loads, expected):
         assert proc.stdout == (DATA / expected).read_text()
     elif expected is not None:
         assert proc.stdout.splitlines()[-1] == expected
+
+
+def test_summatory_past_the_power_sum_budget_exits_fast():
+    # alpha - 1 = 99 is past bernoulli.MAX_DEGREE at cutoff 1e9: the power sum
+    # is refused before any chunk is built instead of running for hours
+    proc = _python("-m", "cwlab.cli", "summatory", "--x", "1000000000000000000", "--alpha", "100", timeout=30)
+    assert proc.returncode == 2 and "work budget" in proc.stderr, proc.stderr

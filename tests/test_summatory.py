@@ -334,6 +334,32 @@ def test_fast_work_budget():
         summatory_fast(10**24, DivisorSpec(2, 1))
 
 
+def test_budget_refuses_before_any_chunk(monkeypatch):
+    x = (2**20 + 1) ** 2
+    b = summatory_fast(x, DivisorSpec(2, 0))
+    assert b.cutoff == 2**20 + 1
+
+    def no_chunks(*args, **kwargs):
+        raise AssertionError("a chunk was built")
+
+    monkeypatch.setattr(s, "_d_chunks", no_chunks)
+    # the exact harmonic number H_cutoff is an exact range sum of cw_sums, within its budget
+    for read in (lambda: b.term_main, lambda: b.term_psi, b.terms):
+        with pytest.raises(ValueError, match="work budget"):
+            read()
+    # a power sum past bernoulli.MAX_DEGREE (degree 99 here) at cutoff 1e9
+    with pytest.raises(ValueError, match="work budget"):
+        summatory_fast(10**18, DivisorSpec(2, 100))
+
+
+def test_float_term_main_matches_fsum():
+    x = 10**10
+    for alpha in (0.5, 1.5, 2.0):
+        b = summatory_fast(x, DivisorSpec(2, alpha))
+        want = x * math.fsum(d ** (alpha - 1.0) for d in range(1, b.cutoff + 1))
+        assert b.term_main == pytest.approx(want, rel=1e-12), alpha
+
+
 def test_harmonic_sum_matches_fraction_loop():
     for x in (1, 2, 17, 10**4 + 1, 4 * 10**6 + 3):
         b = summatory_fast(x, DivisorSpec(2, 0))
