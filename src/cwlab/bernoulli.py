@@ -8,7 +8,9 @@ so every coefficient is a Fraction and the defining properties are exactly
 testable.  The periodic functions B_j({x}) drive the Chowla-Walum sums; the
 first one is the sawtooth psi(x) = x - floor(x) - 1/2.
 
-Evaluation is exact whenever the argument is an int or Fraction.  Float
+Evaluation is exact whenever the argument is an int or Fraction; psi also
+takes a numerator and a denominator, ints or integer arrays, and returns the
+exact sawtooth as an unreduced (numerator, denominator) pair.  Float
 arguments are converted to their exact binary rational, evaluated by the
 same Horner scheme, and rounded once at the end.
 """
@@ -77,20 +79,24 @@ def bernoulli_poly(j: int, x):
     return _horner(coeffs, Fraction(x))
 
 
-def psi(x):
+def psi(x, den=None):
     """Sawtooth psi(x) = x - floor(x) - 1/2, in [-1/2, 1/2).
 
     Exact (Fraction) for int/Fraction input, elementwise on a float array,
-    float otherwise.
+    float otherwise.  With den, psi(x / den) for integers or integer arrays
+    x and den > 0, exactly, as the unreduced pair
+    (2 (x mod den) - den, 2 den): no intermediate exceeds 2 den in absolute
+    value, so int64 arrays with den < 2**62 cannot overflow.
     """
+    if den is not None:
+        return 2 * (x % den) - den, 2 * den
     if isinstance(x, np.ndarray):
         return x - np.floor(x) - 0.5
     if isinstance(x, float):
         return x - math.floor(x) - 0.5
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    return Fraction(2 * (num % den) - den, 2 * den)
+    return Fraction(*psi(x.numerator, x.denominator))
 
 
 def frac_part(x):

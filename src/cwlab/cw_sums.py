@@ -6,18 +6,22 @@ with B_j the periodic Bernoulli functions (B_0 = 1, B_1 = psi).  a = 2
 recovers the classical sums whose cancellation behaviour the Chowla-Walum
 conjecture quantifies; j = 0 additionally admits negative alpha.
 
-Exact mode (integer x, integer alpha) takes the power sums (j = 0, alpha >= 0)
-from summatory._power_sum and splits every other term at its remainder
-r = x mod d into an integer part, summed over numpy chunks in int64 where a
-bound proves it safe, and a proper fraction s/d^e.  The fractions of each
-chunk are summed by summatory._fraction_sum, a pairwise tree on the pairs
-(s, d) whose nodes keep the lcm of their d, so its gcds run on numbers e
-times shorter than d^e; its first levels run in int64 numpy as far as a
-closed-form bound allows, the rest on Python ints.  One more tree sums the
-chunk sums, the common denominator (lcm of the d)^e is formed once, and one
-Fraction at the end, so cancellation-prone values are never touched by
-rounding.  Exact shifted psi block sums run the same tree over their N
-exact psi values, and the harmonic sums of summatory's breakdown over the 1/d.
+Exact mode (integer x, integer alpha) takes the power sums (j = 0,
+0 <= alpha < bernoulli.MAX_DEGREE) from summatory._power_sum and splits
+every other term at its remainder r = x mod d into an integer part, summed
+over numpy chunks in int64 where a bound proves it safe, and a proper
+fraction s/d^e.  Every exact sum is one reducer, _exact_sum, over a
+generator of (whole, s, d) per chunk of summatory._d_chunks.  The fractions
+of each chunk are summed by summatory._fraction_sum, a pairwise tree on the
+pairs (s, d) whose nodes keep the lcm of their d, so its gcds run on
+numbers e times shorter than d^e; its first levels run in int64 numpy as
+far as a closed-form bound allows, the rest on Python ints.  One more tree
+sums the chunk sums, the common denominator (lcm of the d)^e is formed
+once, and one Fraction at the end, so cancellation-prone values are never
+touched by rounding.  Exact shifted psi block sums feed the same reducer:
+per chunk of n, one bernoulli.psi call on int64 remainders of 16x modulo
+4(4n + a') gives the exact psi values as unreduced (numerator, denominator)
+arrays, so no Fraction is built per term.
 Float mode is a double-precision pass over the same chunks of d, within
 the summatory_fast work budget, building no array per chunk: every
 intermediate is written into three float64 rows allocated once per call.
@@ -33,8 +37,9 @@ integers below 2^53); from 2^53 on r is an integer remainder.
 
 The cutoff D = floor(x^(1/a)) is decided exactly for integer a and for
 a = p/q, a Fraction or a float with q <= 16, as D**p <= floor(x**q); any
-other float a, where an exact tie needs x >= 2**33, by 40-digit logs with a
-+-2 correction sweep.
+other float a, where an exact tie needs x >= 2**33, by logs at 20 digits
+more than x has (at least 40), which leave a correction sweep of a step or
+two at any size of x.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import summatory
-from .bernoulli import _scaled_coefficients, bernoulli_coefficients, psi
+from .bernoulli import MAX_DEGREE, _scaled_coefficients, bernoulli_coefficients, psi
 from .divisors import float64_guarded, integer_root, require_count, require_finite
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
@@ -56,8 +61,8 @@ from .divisors import float64_guarded, integer_root, require_count, require_fini
 # x = 2.7e11) 9.5 s (2-vCPU x86-64)
 _EXACT_TERMS_LIMIT = 1 << 20
 # work budget of one exact shifted_psi_block_sum in N: the lcm of the 4(4n + a')
-# grows by about 5.8 bits a term, so the cost grows faster than N; 0.9-1.1 s at
-# the limit, 0.11-0.14 s at 2**14 (2-vCPU x86-64)
+# grows by about 5.8 bits a term, so the cost grows faster than N; 0.49-0.53 s at
+# the limit, 42-44 ms at 2**14 and 0.11-0.12 ms at N = 260 (2-vCPU x86-64)
 _PSI_BLOCK_LIMIT = 1 << 16
 
 
@@ -111,7 +116,8 @@ def gsum_cutoff(x, a) -> int:
     if isinstance(a, Fraction):
         return integer_root(math.floor(Fraction(x) ** a.denominator), a.numerator)
     from mpmath import mp
-    with mp.workdps(40):
+    # 20 digits more than x has put the estimate within a step of D, for any size of x
+    with mp.workdps(max(40, int(math.log10(x)) + 20)):
         lx = mp.log(mp.mpf(x))
         la = mp.mpf(a)
         d = int(mp.floor(mp.exp(lx / la)))
@@ -125,17 +131,13 @@ def gsum_cutoff(x, a) -> int:
 def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     """sum_{lo <= d <= hi} d^alpha B_j({x/d}) in exact arithmetic.
 
-    With r = x mod d and c = den_c * B_j scaled to integer coefficients, each
-    term is P_d / (den_c * d^e), where e = max(j - alpha, 0) and
-    P_d = d^max(alpha - j, 0) * sum_k c_k r^k d^(j-k).  divmod(P_d, d^e)
-    splits it into a whole part, summed per chunk in numpy, and a proper
-    fraction s_d / d^e; each chunk's nonzero s_d go with their d, not d^e, to
-    the fraction tree summatory._fraction_sum as arrays, which returns
-    (n, b) with the chunk sum n / b^e, b the lcm of the chunk's d.  One more
-    tree sums the chunk sums the same way, and the denominator b^e is formed
-    once.  At j = 0, alpha >= 0 it is an int, two summatory._power_sum apart.
+    At j = 0 and 0 <= alpha < bernoulli.MAX_DEGREE it is an int, two
+    summatory._power_sum apart, at any cutoff.  Every other sum runs within
+    the work budget, as _exact_sum of _range_chunks.  Past MAX_DEGREE a
+    power sum (j = 0, e = 0) is whole parts only, summed over lo..hi on
+    object chunks, and stays an int.
     """
-    if j == 0 and alpha >= 0:
+    if j == 0 and 0 <= alpha < MAX_DEGREE:
         return summatory._power_sum(hi, alpha) - summatory._power_sum(lo - 1, alpha) if lo <= hi else 0
     e, lift = max(j - alpha, 0), max(alpha - j, 0)
     if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
@@ -143,9 +145,20 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
             f"{hi - lo + 1} exact terms of degree {e} exceed the work budget of {_EXACT_TERMS_LIMIT}"
         )
     den_c, c = _scaled_coefficients(j)
-    weight, power = sum(map(abs, c)), max(j, abs(alpha))
-    whole, nums, bases = 0, [], []
-    for d in summatory._d_chunks(lo, hi, _horner_bound, weight, power):
+    total = _exact_sum(_range_chunks(x, j, lo, hi, c, e, lift, max(j, abs(alpha))), e, den_c)
+    return total.numerator if j == 0 and alpha >= 0 else total
+
+
+def _range_chunks(x: int, j: int, lo: int, hi: int, c, e: int, lift: int, power: int):
+    """(whole, s, d) per chunk of d = lo..hi, for den_c * d^alpha B_j({x/d}) = whole + s / d^e.
+
+    With r = x mod d and c = den_c * B_j scaled to integer coefficients, each
+    term is P_d / d^e, where e = max(j - alpha, 0) and
+    P_d = d^lift * sum_k c_k r^k d^(j-k), lift = max(alpha - j, 0);
+    divmod(P_d, d^e) splits it into a whole part, summed in numpy, and a
+    proper fraction s_d / d^e.  At e = 0 a chunk is its whole part only.
+    """
+    for d in summatory._d_chunks(lo, hi, _horner_bound, sum(map(abs, c)), power):
         if j:
             r = summatory._mod(x, d)
         # homogeneous Horner: p = sum_{i >= k} c_i r^(i-k) d^(j-i) at step k
@@ -158,15 +171,28 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
         if lift:
             p *= d**lift
         if not e:
-            whole += int(p.sum())
+            yield int(p.sum()), None, None
             continue
         den = d**e
-        s = p % den
-        whole += int((p // den).sum())
-        keep = s != 0
-        num, base = summatory._fraction_sum(s[keep], d[keep], e)
-        nums.append(num)
-        bases.append(base)
+        yield int((p // den).sum()), p % den, d
+
+
+def _exact_sum(chunks, e: int, den_c: int = 1) -> Fraction:
+    """(sum of whole + sum_i s[i] / d[i]**e over the chunks) / den_c, one reduced Fraction.
+
+    chunks yields (whole, s, d) per chunk: an int and two integer arrays of
+    equal length with d > 0, or None, None for a chunk of whole parts only.
+    A chunk's nonzero s and their d go to summatory._fraction_sum before the
+    next chunk is built, the chunk sums to one more tree (module docstring).
+    """
+    whole, nums, bases = 0, [], []
+    for chunk_whole, s, d in chunks:
+        whole += chunk_whole
+        if s is not None:
+            keep = s != 0
+            num, base = summatory._fraction_sum(s[keep], d[keep], e)
+            nums.append(num)
+            bases.append(base)
     num, base = summatory._fraction_sum(nums, bases, e)
     den = base**e
     return Fraction(whole * den + num, den * den_c)
@@ -264,16 +290,28 @@ def block_g(n_start: int, spec: GSumSpec):
     return _float_range_sum(spec.x, spec.alpha, spec.j, lo, hi)
 
 
+def _psi_chunks(n_start: int, x: int, shift_a: int, shift_b: int):
+    """(0, num, den) per chunk of n = N + 1..2N, psi(4x/(4n + shift_a) + shift_b/4) = num / den.
+
+    With m = 4n + shift_a that is psi((16x + shift_b * m) / q), q = 4m < 2**22,
+    and 16x + shift_b * m = r mod q for r = (16x mod q) + shift_b * m,
+    |r| < 2q: one psi call on int64 arrays per chunk, exact for every x,
+    since summatory._mod reduces 16x >= 2**63 by 32-bit limbs.
+    """
+    for n in summatory._d_chunks(n_start + 1, 2 * n_start, None):
+        m = 4 * n + shift_a
+        yield (0, *psi(summatory._mod(16 * x, 4 * m) + shift_b * m, 4 * m))
+
+
 def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
     """sum_{N < n <= 2N} psi(4x/(4n + shift_a) + shift_b/4).
 
     The block sums whose cancellation drives the sharpest unconditional
     error exponents.  Requires |shift_a| + |shift_b| <= 1 and
-    3 <= N <= sqrt(x).  Integer x gives the exact rational sum, one psi per n
-    summed by the fraction tree summatory._fraction_sum on Python-int lists
-    (its int64 levels do not pay here: psi's Fractions cost more than the
-    tree), for N up to _PSI_BLOCK_LIMIT; other x a float sum over numpy
-    chunks of n, within the summatory_fast work budget.
+    3 <= N <= sqrt(x).  Integer x gives the exact rational sum for N up to
+    _PSI_BLOCK_LIMIT, _exact_sum of _psi_chunks, with no Fraction per term;
+    other x a float sum over numpy chunks of n, within the summatory_fast
+    work budget.
     """
     if abs(shift_a) + abs(shift_b) > 1:
         raise ValueError("|shift_a| + |shift_b| must be <= 1")
@@ -287,13 +325,7 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
     if isinstance(x, int):
         if n_start > _PSI_BLOCK_LIMIT:
             raise ValueError(f"{n_start} exact block terms exceed the work budget of {_PSI_BLOCK_LIMIT}")
-        nums, dens = [], []
-        for n in range(n_start + 1, 2 * n_start + 1):
-            m = 4 * n + shift_a
-            p = psi(Fraction(16 * x + shift_b * m, 4 * m))
-            nums.append(p.numerator)
-            dens.append(p.denominator)
-        return Fraction(*summatory._fraction_sum(nums, dens))
+        return _exact_sum(_psi_chunks(n_start, x, shift_a, shift_b), 1)
     chunks = (
         psi(4.0 * x / (4 * n + shift_a) + shift_b / 4.0).tolist()
         for n in summatory._d_chunks(n_start + 1, 2 * n_start, None)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwlab import invariants
 from cwlab.bernoulli import (
@@ -85,6 +87,17 @@ def test_psi_exact_and_array():
         assert psi(x) == x - math.floor(x) - Fraction(1, 2)
     t = np.array([rng.uniform(-1e12, 1e12) for _ in range(1000)] + [-0.25, 2.5, 3.0])
     assert psi(t).tolist() == [psi(float(v)) for v in t]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**62, 2**62), st.integers(1, 2**40)), min_size=1, max_size=40))
+def test_psi_pair_matches_fraction(pairs):
+    # psi(num, den) is the exact psi(num / den) as an unreduced pair, on ints and on int64 arrays
+    want = [psi(Fraction(num, den)) for num, den in pairs]
+    assert [Fraction(*psi(num, den)) for num, den in pairs] == want
+    nums, dens = psi(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    assert nums.dtype == dens.dtype == np.int64
+    assert [Fraction(int(n), int(d)) for n, d in zip(nums, dens)] == want
 
 
 def test_frac_part():

@@ -377,6 +377,13 @@ def test_float_gsum_work_budget_exit_2():
     assert "work budget" in err and err.startswith("error:")
 
 
+def test_float_a_cutoff_at_large_x_reaches_the_budget():
+    # a float a that is no p/q with q <= 16 takes the log cutoff, whose steps do not grow with x
+    code, out, err = run(["gsum", "--a", "2.7", "--alpha", "1", "--j", "2", "--x", "1e121"])
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and err.startswith("error:") and "work budget" in err, err
+
+
 def test_bw_work_budget_exit_2():
     code, out, err = run(["bw", "--n", str(10**8), "--x", str(10**17)])
     assert (code, out) == (2, "")

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwlab import invariants, summatory
@@ -233,12 +233,32 @@ def psi_float_loop(n_start, x, shift_a, shift_b):
 @given(
     shift=st.sampled_from(SHIFTS),
     n_start=st.integers(3, 400),
-    # small x, and x past 2**59 where 16x and the numerators leave int64
+    # small x, and x past 2**59 where 16x leaves int64 and _mod reduces it by limbs
     x=st.one_of(st.integers(0, 10**7), st.integers(2**59 - 100, 2**80)),
 )
+# either side of summatory._INT64_TREE_FLOOR = 128 leaves, where the tree's int64 levels start
+@example(shift=(1, 0), n_start=127, x=0)
+@example(shift=(0, -1), n_start=128, x=2**59 + 1)
+@example(shift=(-1, 0), n_start=129, x=2**63 - 1)
+# past one chunk of n, with x just below and above 2**59 and 2**63
+@example(shift=(0, 1), n_start=2**14 + 1, x=2**59 - 1)
+@example(shift=(1, 0), n_start=2**14 + 13, x=2**59 + 1)
+@example(shift=(-1, 0), n_start=2**14 + 27, x=2**63 - 1)
+@example(shift=(0, -1), n_start=2**14 + 40, x=2**63 + 1)
 def test_shifted_psi_block_matches_psi_loop(shift, n_start, x):
     x = max(x, n_start * n_start)
     assert shifted_psi_block_sum(n_start, x, *shift) == psi_loop(n_start, x, *shift)
+
+
+def test_cutoff_float_a_at_any_size_of_x():
+    # the log path keeps 20 digits more than x has, so its correction sweep stays a
+    # step or two however large x is; checked at 30 digits more
+    from mpmath import mp, mpf
+    for x in (10**20, 10**120, 10**300):
+        for a in (1.1, 2.7, 3.3):
+            d = gsum_cutoff(x, a)
+            with mp.workdps(len(str(x)) + 30):
+                assert mpf(d) ** mpf(a) <= x < mpf(d + 1) ** mpf(a), (x, a)
 
 
 def test_shifted_psi_block_float_mode():
@@ -363,7 +383,7 @@ def test_exact_work_budget():
     assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)
 
 
-def test_j0_power_sums_take_the_closed_form():
+def test_j0_power_sums_take_the_closed_form(monkeypatch):
     # G_{a,m,0} for m >= 0 is summatory._power_sum at any cutoff: Faulhaber at n = 10**15
     n = 10**15
     faulhaber = (n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, (n * (n + 1) // 2) ** 2)
@@ -376,11 +396,18 @@ def test_j0_power_sums_take_the_closed_form():
         for n_start in (1, 300, 600, 999, 1000, 5000):
             want = sum(d**m for d in range(n_start + 1, min(2 * n_start, 1000) + 1))
             assert same(block_g(n_start, spec), want), (m, n_start)
-    # past MAX_DEGREE the power sum is refused by its upper end, before its loop;
-    # an empty block past that end is still 0
+    # past MAX_DEGREE a block sums its own terms only: one term past d = 2**20 runs,
+    # and an empty block there is 0
+    n = _EXACT_TERMS_LIMIT
+    assert same(block_g(n, GSumSpec(2, MAX_DEGREE, 0, (n + 1) ** 2)), (n + 1) ** MAX_DEGREE)
+    assert same(block_g(n + 1, GSumSpec(2, MAX_DEGREE, 0, (n + 1) ** 2)), 0)
+    # a block of 2**20 + 1 terms is refused by its length, before any chunk is built
+    def no_chunks(*args, **kwargs):
+        raise AssertionError("a chunk was built")
+
+    monkeypatch.setattr(summatory, "_d_chunks", no_chunks)
     with pytest.raises(ValueError, match="work budget"):
-        block_g(_EXACT_TERMS_LIMIT, GSumSpec(2, MAX_DEGREE, 0, 10**20))
-    assert same(block_g(_EXACT_TERMS_LIMIT + 1, GSumSpec(2, MAX_DEGREE, 0, (_EXACT_TERMS_LIMIT + 1) ** 2)), 0)
+        block_g(n + 1, GSumSpec(2, MAX_DEGREE, 0, (2 * n + 2) ** 2))
 
 
 def test_shifted_psi_block_work_budget():
