@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cw_sums import gsum_cutoff
-from .divisors import integer_root, require_finite
+from .divisors import integer_root, require_count, require_finite
 
 DEFAULT_DPS = 50
 
@@ -141,8 +141,7 @@ def restricted_model(alpha, a: int = 2, cw: bool = False) -> MainTermModel:
     gamma - 1/a an mpf.  cw selects the error exponent at a = 2 and is
     ignored for a >= 3.
     """
-    if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-        raise ValueError(f"restriction root must be an integer >= 2, got {a!r}")
+    require_count("restriction root", a, 2)
     t = _number(alpha)  # alpha in the model's number type; one set of formulas serves both
     if t == 0:
         from mpmath import mp
@@ -171,8 +170,7 @@ def sqrt_restricted_model(alpha, cw: bool = False) -> MainTermModel:
 
 def root_restricted_model(alpha, a: int) -> MainTermModel:
     """Main-term model for sum_{n <= x} sigma_{a,alpha}(n), integer a >= 3."""
-    if not isinstance(a, int) or isinstance(a, bool) or a < 3:
-        raise ValueError(f"restriction root must be an integer >= 3, got {a!r}")
+    require_count("restriction root", a, 3)
     return restricted_model(alpha, a)
 
 

@@ -1,4 +1,4 @@
-"""Chowla-Walum sums G_{a,alpha,j}(x) and their dyadic block pieces.
+"""Chowla-Walum sums G_{a,alpha,j}(x), their dyadic block pieces, and the d-range kernels under them.
 
     G_{a,alpha,j}(x) = sum_{d <= x^(1/a)} d^alpha * B_j({x/d})
 
@@ -6,34 +6,26 @@ with B_j the periodic Bernoulli functions (B_0 = 1, B_1 = psi).  a = 2
 recovers the classical sums whose cancellation behaviour the Chowla-Walum
 conjecture quantifies; j = 0 additionally admits negative alpha.
 
-Exact mode (integer x, integer alpha) takes the power sums (j = 0,
-0 <= alpha < bernoulli.MAX_DEGREE) from summatory._power_sum and splits
-every other term at its remainder r = x mod d into an integer part, summed
-over numpy chunks in int64 where a bound proves it safe, and a proper
-fraction s/d^e.  Every exact sum is one reducer, _exact_sum, over a
-generator of (whole, s, d) per chunk of summatory._d_chunks.  The fractions
-of each chunk are summed by summatory._fraction_sum, a pairwise tree on the
-pairs (s, d) whose nodes keep the lcm of their d, so its gcds run on
-numbers e times shorter than d^e; its first levels run in int64 numpy as
-far as a closed-form bound allows, the rest on Python ints.  One more tree
-sums the chunk sums, the common denominator (lcm of the d)^e is formed
-once, and one Fraction at the end, so cancellation-prone values are never
-touched by rounding.  Exact shifted psi block sums feed the same reducer:
-per chunk of n, one bernoulli.psi call on int64 remainders of 16x modulo
-4(4n + a') gives the exact psi values as unreduced (numerator, denominator)
-arrays, so no Fraction is built per term.
-Float mode is a double-precision pass over the same chunks of d, within
-the summatory_fast work budget, building no array per chunk: every
-intermediate is written into three float64 rows allocated once per call.
-Below d = 2^53, and with integer x below 2^53, the chunks of d are exact
-float64 views (summatory._d_chunks with as_float, whose exactness the
-summatory module docstring proves); elsewhere they are int64, and numpy
-casts them to float64 as it divides or copies them.  With integer x the
-fractional parts {x/d} = r/d come from the exact remainder r = x mod d,
-which keeps the sawtooth accurate even when x/d is far above 2^53 * ulp
-territory.  Below x = 2^53, r = x - d*q with the float64 quotient
-q = summatory._quotient(x, d), which is exact (d*q <= x and x - d*q are
-integers below 2^53); from 2^53 on r is an integer remainder.
+Every sum over a range of d, here and in summatory_fast, runs the chunks
+of _d_chunks within one work budget in terms, with x // d and x mod d from
+_quotient and _mod and float weights d^alpha from _float_weights.  Exact
+mode (integer x, integer alpha) takes the power sums (j = 0, alpha >= 0)
+from _power_sum and splits every other term at its remainder r = x mod d
+into an integer part, summed over numpy chunks in int64 where a bound
+proves it safe, and a proper fraction s/d^e.  Every exact sum is one
+reducer, _exact_sum, over a generator of (whole, s, d) per chunk: the
+fractions of each chunk go to the pairwise tree _fraction_sum, one more
+tree sums the chunk sums, and one Fraction is built at the end, so
+cancellation-prone values are never touched by rounding.  Exact shifted
+psi block sums feed the same reducer: per chunk of n, one bernoulli.psi
+call on int64 remainders of 16x modulo 4(4n + a') gives the exact psi
+values as unreduced (numerator, denominator) arrays, so no Fraction is
+built per term.
+Float mode is a double-precision pass over the same chunks of d, building
+no array per chunk: every intermediate is written into three float64 rows
+allocated once per call.  With integer x the fractional parts
+{x/d} = r/d come from the exact remainder r = x mod d, which keeps the
+sawtooth accurate even when x/d is far above 2^53 * ulp territory.
 
 The cutoff D = floor(x^(1/a)) is decided exactly for integer a and for
 a = p/q, a Fraction or a float with q <= 16, as D**p <= floor(x**q); any
@@ -51,9 +43,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import summatory
 from .bernoulli import MAX_DEGREE, _scaled_coefficients, bernoulli_coefficients, psi
-from .divisors import float64_guarded, integer_root, require_count, require_finite
+from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
+from .divisors import _BASE, float64_guarded, integer_root, require_count, require_finite
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
 # the common denominator grows by about 0.43 * e digits a term; at the limit
@@ -64,6 +56,15 @@ _EXACT_TERMS_LIMIT = 1 << 20
 # grows by about 5.8 bits a term, so the cost grows faster than N; 0.49-0.53 s at
 # the limit, 42-44 ms at 2**14 and 0.11-0.12 ms at N = 260 (2-vCPU x86-64)
 _PSI_BLOCK_LIMIT = 1 << 16
+# work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
+# is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
+# at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks
+_FAST_CUTOFF_LIMIT = 10**9
+# fewest leaves whose fraction tree (_fraction_sum) starts in int64 numpy: a
+# numpy level has a fixed cost of several µs, and on the fractions of exact G
+# blocks at x = 4e7 (2-vCPU x86-64) 64 leaves took 1.2-1.5x the time of the
+# Python-int loop, 128 leaves 0.87-0.94x and 1024 leaves 0.54-0.65x
+_INT64_TREE_FLOOR = 128
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ class GSumSpec:
         require_finite(a=self.a, alpha=self.alpha, x=self.x)
         if self.a <= 1:
             raise ValueError(f"restriction root a must exceed 1, got {self.a!r}")
-        if not isinstance(self.j, int) or isinstance(self.j, bool) or self.j < 0:
-            raise ValueError(f"Bernoulli index j must be an integer >= 0, got {self.j!r}")
+        require_count("Bernoulli index j", self.j, 0)
         if self.j >= 1 and self.alpha < 0:
             raise ValueError(f"alpha must be >= 0 when j >= 1, got alpha={self.alpha!r}")
         if self.x < 0:
@@ -128,25 +128,133 @@ def gsum_cutoff(x, a) -> int:
         return d
 
 
+def _d_chunks(lo: int, hi: int, sum_bound, *args, as_float: bool = False):
+    """d = lo..hi in numpy chunks of at most _FAST_CHUNK, refused past _FAST_CUTOFF_LIMIT terms.
+
+    A chunk d = start..end is int64 when sum_bound(start, end, *args), a bound on
+    every integer term the caller sums over it and on their sum, is below 2**63,
+    else a Python-int object array.  Callers that sum no integer term over d
+    in numpy (float sums, fraction trees on Python ints) pass None.  With
+    as_float, for hi < 2**53, a chunk that would be int64 is a read-only
+    float64 array instead: the slice _BASE[start:end + 1] while end <
+    len(_BASE), past it _BASE[:n] + start written into one row of
+    min(hi - lo + 1, _FAST_CHUNK) entries, allocated once per loop: both
+    addends and the sum are integers below 2**53, so d is exact, with no
+    int64 arange and no cast.
+    """
+    if hi - lo + 1 > _FAST_CUTOFF_LIMIT:
+        raise ValueError(f"{hi - lo + 1} terms exceed the work budget of {_FAST_CUTOFF_LIMIT} terms")
+    row = None
+    for start in range(lo, hi + 1, _FAST_CHUNK):
+        end = min(start + _FAST_CHUNK - 1, hi)
+        n = end - start + 1
+        fits = sum_bound is None or sum_bound(start, end, *args) < 2**63
+        if not (fits and as_float):
+            yield np.arange(start, end + 1, dtype=np.int64 if fits else object)
+        elif end < len(_BASE):
+            yield _BASE[start : end + 1]
+        else:
+            if row is None:
+                row = np.empty(min(hi - lo + 1, _FAST_CHUNK))
+            d = np.add(_BASE[:n], start, out=row[:n])
+            d.flags.writeable = False
+            yield d
+
+
+def _quotient(x: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x // d as float64, for 0 <= x < 2**53 and a chunk of integers 1 <= d < 2**53.
+
+    The chunk may be int64 or float64: its entries are exact floats either
+    way.  floor(fl(x / d)) = x // d, and x - d * q is the exact remainder.
+    Proof: with q = x // d, x/d lies in [q, q + 1 - 1/d], and q is a float.
+    Rounding is monotone, so fl(x/d) >= q, and its error is below
+    (x/d) * 2**-53 < 1/d, so fl(x/d) < q + 1.  Then d * q <= x < 2**53 and
+    x - d * q are exact too.  A float division and a floor cost less than
+    half of an int64 x // d or x % d.  At x >= 2**53 only those are exact.
+    out, if given, receives the quotients.
+    """
+    q = np.divide(float(x), d, out=out)
+    return np.floor(q, out=q)
+
+
+def _mod(x: int, d: np.ndarray) -> np.ndarray:
+    """x mod d in d's dtype: r < d fits it even where x does not.
+
+    From x = 2**63 on, an int64 chunk whose d are all below 2**31 reduces x by
+    its 32-bit limbs, most significant first, as r = ((r << 32) | limb) % d:
+    r < d < 2**31 before each step, so (r << 32) | limb < 2**63 stays in
+    int64.  Every chunk of summatory_fast qualifies, since its range starts at
+    1 and holds at most _FAST_CUTOFF_LIMIT = 10**9 < 2**31 terms.  Object
+    chunks, and int64 chunks of larger d (blocks of G), take Python ints.
+    """
+    if x < 2**63 or d.dtype == object:
+        return x % d
+    if d[-1] >= 2**31:
+        return (x % d.astype(object)).astype(d.dtype)
+    r = np.zeros_like(d)
+    for shift in range((x.bit_length() - 1) // 32 * 32, -1, -32):
+        r <<= 32
+        r |= (x >> shift) & 0xFFFFFFFF
+        r %= d
+    return r
+
+
+def _float_weights(d: np.ndarray, alpha, row: np.ndarray) -> np.ndarray:
+    """d**float(alpha) in float64 for a chunk d of _d_chunks, alpha != 0, not to be written.
+
+    A float chunk at alpha = 1 is its own weight; otherwise d is copied into
+    row[:len(d)] and raised there with **=, the operator of the float
+    references in the tests, so the weights match theirs bit for bit.
+    """
+    if alpha == 1 and d.dtype == np.float64:
+        return d
+    w = row[: len(d)]
+    np.copyto(w, d)
+    if alpha != 1:  # pow(d, 1.0) = d
+        w **= float(alpha)
+    return w
+
+
+def _power_sum(lo: int, hi: int, m: int) -> int:
+    """sum_{lo <= d <= hi} d^m = (B_{m+1}(hi + 1) - B_{m+1}(lo)) / (m + 1), m >= 0, exactly (0 if lo > hi).
+
+    B_{m+1} is evaluated by Horner's rule on Python ints with the cached
+    integer-scaled coefficients, so the cost does not grow with the range.
+    From bernoulli.MAX_DEGREE on the coefficients would cost more than the
+    terms (their recurrence grows faster than quadratically in the degree),
+    so d^m is summed directly, refused past _EXACT_TERMS_LIMIT terms.
+    """
+    if lo > hi:
+        return 0
+    if m == 0:
+        return hi - lo + 1
+    if m >= MAX_DEGREE:
+        if hi - lo + 1 > _EXACT_TERMS_LIMIT:
+            raise ValueError(f"{hi - lo + 1} terms of degree {m} exceed the work budget of {_EXACT_TERMS_LIMIT}")
+        return sum(d**m for d in range(lo, hi + 1))
+    den_c, c = _scaled_coefficients(m + 1)
+    top, bottom, end = 0, 0, hi + 1
+    for ck in reversed(c):
+        top = top * end + ck
+        bottom = bottom * lo + ck
+    return (top - bottom) // (den_c * (m + 1))
+
+
 def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     """sum_{lo <= d <= hi} d^alpha B_j({x/d}) in exact arithmetic.
 
-    At j = 0 and 0 <= alpha < bernoulli.MAX_DEGREE it is an int, two
-    summatory._power_sum apart, at any cutoff.  Every other sum runs within
-    the work budget, as _exact_sum of _range_chunks.  Past MAX_DEGREE a
-    power sum (j = 0, e = 0) is whole parts only, summed over lo..hi on
-    object chunks, and stays an int.
+    At j = 0 and alpha >= 0 it is the int _power_sum.  Every other sum runs
+    within the work budget, as _exact_sum of _range_chunks.
     """
-    if j == 0 and 0 <= alpha < MAX_DEGREE:
-        return summatory._power_sum(hi, alpha) - summatory._power_sum(lo - 1, alpha) if lo <= hi else 0
+    if j == 0 and alpha >= 0:
+        return _power_sum(lo, hi, alpha)
     e, lift = max(j - alpha, 0), max(alpha - j, 0)
     if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
         raise ValueError(
             f"{hi - lo + 1} exact terms of degree {e} exceed the work budget of {_EXACT_TERMS_LIMIT}"
         )
     den_c, c = _scaled_coefficients(j)
-    total = _exact_sum(_range_chunks(x, j, lo, hi, c, e, lift, max(j, abs(alpha))), e, den_c)
-    return total.numerator if j == 0 and alpha >= 0 else total
+    return _exact_sum(_range_chunks(x, j, lo, hi, c, e, lift, max(j, abs(alpha))), e, den_c)
 
 
 def _range_chunks(x: int, j: int, lo: int, hi: int, c, e: int, lift: int, power: int):
@@ -158,9 +266,9 @@ def _range_chunks(x: int, j: int, lo: int, hi: int, c, e: int, lift: int, power:
     divmod(P_d, d^e) splits it into a whole part, summed in numpy, and a
     proper fraction s_d / d^e.  At e = 0 a chunk is its whole part only.
     """
-    for d in summatory._d_chunks(lo, hi, _horner_bound, sum(map(abs, c)), power):
+    for d in _d_chunks(lo, hi, _horner_bound, sum(map(abs, c)), power):
         if j:
-            r = summatory._mod(x, d)
+            r = _mod(x, d)
         # homogeneous Horner: p = sum_{i >= k} c_i r^(i-k) d^(j-i) at step k
         p, d_pow = np.full_like(d, c[j]), 1
         for k in range(j - 1, -1, -1):
@@ -182,20 +290,86 @@ def _exact_sum(chunks, e: int, den_c: int = 1) -> Fraction:
 
     chunks yields (whole, s, d) per chunk: an int and two integer arrays of
     equal length with d > 0, or None, None for a chunk of whole parts only.
-    A chunk's nonzero s and their d go to summatory._fraction_sum before the
-    next chunk is built, the chunk sums to one more tree (module docstring).
+    A chunk's nonzero s and their d go to _fraction_sum before the next
+    chunk is built, the chunk sums to one more tree (module docstring).
     """
     whole, nums, bases = 0, [], []
     for chunk_whole, s, d in chunks:
         whole += chunk_whole
         if s is not None:
             keep = s != 0
-            num, base = summatory._fraction_sum(s[keep], d[keep], e)
+            num, base = _fraction_sum(s[keep], d[keep], e)
             nums.append(num)
             bases.append(base)
-    num, base = summatory._fraction_sum(nums, bases, e)
+    num, base = _fraction_sum(nums, bases, e)
     den = base**e
     return Fraction(whole * den + num, den * den_c)
+
+
+def _fraction_sum(num, base, e: int = 1) -> tuple[int, int]:
+    """(n, b) with n / b**e = sum of num[i] / base[i]**e, base[i] > 0, unreduced; (0, 1) if empty.
+
+    A pairwise tree: each level merges neighbours a / b**e and c / f**e as
+
+        g = gcd(b, f),   n = a * (f//g)**e + c * (b//g)**e,   base (b//g) * f,
+
+    so a node's base is the lcm of its leaves' bases and its denominator,
+    that base to the e, the lcm of their denominators; (n, b) does not depend
+    on the tree's shape.  The gcds run on the bases, e times shorter than the
+    denominators.  An int64 array of at least _INT64_TREE_FLOOR leaves runs
+    its first levels in numpy, as many as _int64_levels proves stay below
+    2**63; the rest, and any other input, runs on Python ints, where nothing
+    can overflow.  The callers pass arrays of one _d_chunks chunk, at most
+    _FAST_CHUNK leaves, which bounds the Python-int tree and its peak memory.
+    """
+    if isinstance(base, np.ndarray):
+        if len(base) >= _INT64_TREE_FLOOR and base.dtype == np.int64:
+            num, base = _int64_levels(num, base, e)
+        num, base = num.tolist(), base.tolist()
+    while len(base) > 1:
+        merged_num, merged_base = [], []
+        if e == 1:  # no powers: they, or a test per merge, slow small trees by 3-24 %
+            for a, b, c, f in zip(num[::2], base[::2], num[1::2], base[1::2]):
+                g = math.gcd(b, f)
+                b //= g
+                merged_num.append(a * (f // g) + c * b)
+                merged_base.append(b * f)
+        else:
+            for a, b, c, f in zip(num[::2], base[::2], num[1::2], base[1::2]):
+                g = math.gcd(b, f)
+                b //= g
+                merged_num.append(a * (f // g) ** e + c * b**e)
+                merged_base.append(b * f)
+        if len(base) % 2:
+            merged_num.append(num[-1])
+            merged_base.append(base[-1])
+        num, base = merged_num, merged_base
+    return (num[0], base[0]) if base else (0, 1)
+
+
+def _int64_levels(num: np.ndarray, base: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first levels of _fraction_sum's tree, merged in int64 numpy.
+
+    With A = max |num| and M = max base, a node of level l has base at most
+    B_l = M**(2**l) and |numerator| at most N_l = 2**l * A * M**(e*(2**l - 1)),
+    since N_{l+1} = 2 * N_l * B_l**e.  Every product and sum of the merge into
+    level l + 1 is at most N_{l+1} or B_{l+1}, so a level runs in int64 while
+    both stay below 2**63 (A is taken as at least 1, so that N_{l+1} also
+    covers (b//g)**e <= B_l**e).  As in the Python-int loop, a level of odd
+    length carries its last node to the next.
+    """
+    n_top, b_top = max(int(np.abs(num).max()), 1), int(base.max())
+    while len(base) > 1:
+        n_top, b_top = 2 * n_top * b_top**e, b_top * b_top
+        if n_top >= 2**63 or b_top >= 2**63:
+            break
+        m = len(base) // 2 * 2
+        b, f = base[:m:2], base[1:m:2]
+        g = np.gcd(b, f)
+        b = b // g
+        num = np.concatenate((num[:m:2] * (f // g) ** e + num[1:m:2] * b**e, num[m:]))
+        base = np.concatenate((b * f, base[m:]))
+    return num, base
 
 
 def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
@@ -219,19 +393,20 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
 
     Every step writes into float64 rows of min(hi - lo + 1, 2^14) entries,
     allocated once per call: {x/d}, B_j({x/d}) (then times d**alpha) and
-    the weights d**alpha of summatory._float_weights.  d comes as float64
-    from summatory._d_chunks below d = 2^53, and with integer x below 2^53,
-    else as int64.  B_j runs by Horner's rule in place, the multiplies and
-    adds of np.polyval in its order; B_j is monic, so its first step
-    1.0 * t + c_1 is t + c_1.  The power is skipped at alpha = 0 and 1,
+    the weights d**alpha of _float_weights.  d comes as float64 from
+    _d_chunks below d = 2^53, and with integer x below 2^53, else as int64.
+    With integer x, {x/d} = r/d for r = x - d * _quotient(x, d) on float
+    chunks, else r = _mod(x, d).  B_j runs by Horner's rule in place, the
+    multiplies and adds of np.polyval in its order; B_j is monic, so its
+    first step 1.0 * t + c_1 is t + c_1.  The power is skipped at alpha = 0 and 1,
     where pow(d, alpha) is exactly 1 and d."""
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
     exact_x = isinstance(x, int)
     as_float = hi < 2**53 and not (exact_x and x >= 2**53)
-    n = max(min(hi - lo + 1, summatory._FAST_CHUNK), 0)
+    n = max(min(hi - lo + 1, _FAST_CHUNK), 0)
     frac_row, b_row, w_row = np.empty(n), np.empty(n), np.empty(n)
     total = 0.0
-    for d in summatory._d_chunks(lo, hi, None, as_float=as_float):
+    for d in _d_chunks(lo, hi, None, as_float=as_float):
         n = len(d)
         frac, b = frac_row[:n], b_row[:n]  # {x/d}, then B_j({x/d}) and times d**alpha
         if j:
@@ -239,12 +414,12 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
                 np.divide(float(x), d, out=frac)
                 np.modf(frac, out=(frac, b))
             elif as_float:
-                summatory._quotient(x, d, out=frac)
+                _quotient(x, d, out=frac)
                 frac *= d
                 np.subtract(x, frac, out=frac)
                 frac /= d
             else:
-                np.divide(summatory._mod(x, d), d, out=frac)
+                np.divide(_mod(x, d), d, out=frac)
             np.add(frac, coeffs[1], out=b)
             for c in coeffs[2:]:
                 b *= frac
@@ -252,7 +427,7 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
         if alpha == 0:
             total += float(np.sum(b)) if j else n
             continue
-        w = summatory._float_weights(d, alpha, w_row)
+        w = _float_weights(d, alpha, w_row)
         if j:
             b *= w
         total += float(np.sum(b if j else w))
@@ -296,11 +471,11 @@ def _psi_chunks(n_start: int, x: int, shift_a: int, shift_b: int):
     With m = 4n + shift_a that is psi((16x + shift_b * m) / q), q = 4m < 2**22,
     and 16x + shift_b * m = r mod q for r = (16x mod q) + shift_b * m,
     |r| < 2q: one psi call on int64 arrays per chunk, exact for every x,
-    since summatory._mod reduces 16x >= 2**63 by 32-bit limbs.
+    since _mod reduces 16x >= 2**63 by 32-bit limbs.
     """
-    for n in summatory._d_chunks(n_start + 1, 2 * n_start, None):
+    for n in _d_chunks(n_start + 1, 2 * n_start, None):
         m = 4 * n + shift_a
-        yield (0, *psi(summatory._mod(16 * x, 4 * m) + shift_b * m, 4 * m))
+        yield (0, *psi(_mod(16 * x, 4 * m) + shift_b * m, 4 * m))
 
 
 def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
@@ -310,13 +485,12 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
     error exponents.  Requires |shift_a| + |shift_b| <= 1 and
     3 <= N <= sqrt(x).  Integer x gives the exact rational sum for N up to
     _PSI_BLOCK_LIMIT, _exact_sum of _psi_chunks, with no Fraction per term;
-    other x a float sum over numpy chunks of n, within the summatory_fast
-    work budget.
+    other x a float sum over numpy chunks of n, within the _d_chunks work
+    budget.
     """
     if abs(shift_a) + abs(shift_b) > 1:
         raise ValueError("|shift_a| + |shift_b| must be <= 1")
-    if not isinstance(n_start, int) or n_start < 3:
-        raise ValueError(f"block start must be an integer >= 3, got {n_start!r}")
+    require_count("block start", n_start, 3)
     require_finite(x=x)
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -328,6 +502,6 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
         return _exact_sum(_psi_chunks(n_start, x, shift_a, shift_b), 1)
     chunks = (
         psi(4.0 * x / (4 * n + shift_a) + shift_b / 4.0).tolist()
-        for n in summatory._d_chunks(n_start + 1, 2 * n_start, None)
+        for n in _d_chunks(n_start + 1, 2 * n_start, None)
     )
     return math.fsum(itertools.chain.from_iterable(chunks))

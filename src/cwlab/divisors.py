@@ -42,8 +42,8 @@ import numpy as np
 
 # work budget of _divisors: isqrt(n) <= this (n < 1e16); about 0.2 s for a prime at the edge on a 2-vCPU x86-64 host
 _TRIAL_DIVISION_LIMIT = 10**8
-_TRIAL_CHUNK = 1 << 14  # trial divisors per chunk; summatory imports it as _FAST_CHUNK
-# float64 0, 1, ..., 2^14, read-only: the float d chunks of summatory._d_chunks
+_TRIAL_CHUNK = 1 << 14  # trial divisors per chunk; cw_sums imports it as _FAST_CHUNK
+# float64 0, 1, ..., 2^14, read-only: the float d chunks of cw_sums._d_chunks
 # are slices of it or _BASE[:k] + start written into a row; _divisors takes a
 # slice for one chunk, and past that the odd d 2 * _BASE[:-1] + 1 into a row
 _BASE = np.arange(_TRIAL_CHUNK + 1, dtype=np.float64)
@@ -62,7 +62,7 @@ def require_count(name: str, value, least: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def float64_guarded(alpha, log2_top: float, fn, *args):
@@ -98,24 +98,22 @@ class DivisorSpec:
     alpha: int | float = 0
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or isinstance(self.a, bool) or self.a < 2:
-            raise ValueError(f"restriction root a must be an integer >= 2, got {self.a!r}")
-        _exact_alpha(self.alpha)
+        require_count("restriction root a", self.a, 2)
+        _require_alpha(self.alpha)
 
     @property
     def exact(self) -> bool:
         return isinstance(self.alpha, int)
 
 
-def _exact_alpha(alpha) -> bool:
-    """Whether the weight exponent alpha selects exact-integer mode (an int) or real mode
-    (a float); a ValueError unless alpha is a finite int or float >= 0, not a bool."""
+def _require_alpha(alpha) -> None:
+    """Raise ValueError unless the weight exponent alpha is a finite int (exact-integer
+    mode) or float (real mode) >= 0, not a bool."""
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"alpha must be an int or float, got {alpha!r}")
     require_finite(alpha=alpha)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    return isinstance(alpha, int)
 
 
 def integer_root(n: int, a: int) -> int:
@@ -124,8 +122,7 @@ def integer_root(n: int, a: int) -> int:
     A floating (or Newton, for huge n) seed is corrected by exact powering,
     so boundary cases like n = D**a are always classified correctly.
     """
-    if a < 2 or not isinstance(a, int) or isinstance(a, bool):
-        raise ValueError(f"root index must be an integer >= 2, got {a!r}")
+    require_count("root index", a, 2)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -218,12 +215,8 @@ def divisor_sum_restricted(n: int, spec: DivisorSpec, divs: list[int] | None = N
     several values.  The divisors come ascending, so the test stops at the
     first d with d**a > n.
     """
-    divs = list(takewhile(lambda d: d**spec.a <= n, _divisors(n) if divs is None else divs))
-    if spec.exact:
-        return sum(d**spec.alpha for d in divs)
-    # at most n terms, each d**alpha <= n**alpha; fsum draws them inside the guard
-    weights = (d**spec.alpha for d in divs)
-    return float64_guarded(spec.alpha, (spec.alpha + 1) * n.bit_length(), math.fsum, weights)
+    divs = takewhile(lambda d: d**spec.a <= n, _divisors(n) if divs is None else divs)
+    return _divisor_power_sum(divs, spec.alpha, n)
 
 
 def tau(n: int) -> int:
@@ -233,11 +226,16 @@ def tau(n: int) -> int:
 
 def sigma_alpha(n: int, alpha):
     """Full divisor power sum sigma_alpha(n) over all divisors, alpha as in DivisorSpec."""
-    exact = _exact_alpha(alpha)
-    divs = _divisors(n)
-    if exact:
+    _require_alpha(alpha)
+    return _divisor_power_sum(_divisors(n), alpha, n)
+
+
+def _divisor_power_sum(divs, alpha, n: int):
+    """Sum of d**alpha over divs, divisors of n: an exact int at int alpha, else
+    math.fsum of the float powers, refused past float64."""
+    if isinstance(alpha, int):
         return sum(d**alpha for d in divs)
-    # at most n terms, each d**alpha <= n**alpha, as in divisor_sum_restricted
+    # at most n terms, each d**alpha <= n**alpha; fsum draws them inside the guard
     return float64_guarded(alpha, (alpha + 1) * n.bit_length(), math.fsum, (d**alpha for d in divs))
 
 

@@ -18,7 +18,7 @@ from statistics import linear_regression
 
 from .asymptotics import DEFAULT_DPS, MainTermModel
 from .cw_sums import GSumSpec, g_sum
-from .divisors import DivisorSpec, require_finite
+from .divisors import DivisorSpec, require_count, require_finite
 from .summatory import summatory_fast
 
 RESIDUAL_X_LIMIT = 10**12
@@ -36,17 +36,11 @@ class GridSpec:
     count: int = 25
 
     def __post_init__(self):
-        for name in ("x0", "count"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"grid {name} must be an int, got {v!r}")
-        if self.x0 < 10:
-            raise ValueError("grid start must be >= 10")
+        require_count("grid x0", self.x0, 10)
+        require_count("grid count", self.count, 3)
         require_finite(**{"grid ratio": self.ratio})
         if not self.ratio > 1:
             raise ValueError("grid ratio must exceed 1")
-        if self.count < 3:
-            raise ValueError("grid needs at least 3 points")
         try:  # the last point is the largest; every earlier one is finite with it
             last = self.x0 * float(self.ratio) ** (self.count - 1)
         except OverflowError:

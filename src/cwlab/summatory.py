@@ -22,13 +22,13 @@ Chowla-Walum components
     x*G_{a,alpha-1,0}(x) - G_{a,alpha+a-1,0}(x)
         + (1/2)*G_{a,alpha,0}(x) - G_{a,alpha,1}(x).
 
-summatory_fast sums over d in the chunks of _d_chunks, shared with cw_sums:
-int64 where a per-chunk bound proves no sum can wrap, else object arrays.
-Below x = 2^53 the floor quotients come from a float64 division and floor,
-exactly (see _quotient), and x mod d = x - d*floor(x/d); from 2^53 on they
-are integer divisions.  The power sums sum d^m have a closed form in
-Bernoulli polynomials (_power_sum), so in integer mode only one sum runs
-over the chunks.  At alpha = 0 it is sum floor(x/d).  At alpha >= 1,
+summatory_fast sums over d in the chunks of cw_sums._d_chunks: int64 where
+_fast_sum_bound proves no sum can wrap, else object arrays.  Below x = 2^53
+the floor quotients come from cw_sums._quotient, exact there, and
+x mod d = x - d*floor(x/d); from 2^53 on they are integer divisions.  The
+power sums sum d^m have a closed form in Bernoulli polynomials
+(cw_sums._power_sum), so in integer mode only one sum runs over the
+chunks.  At alpha = 0 it is sum floor(x/d).  At alpha >= 1,
 d^alpha floor(x/d) = d^(alpha-1) (x - (x mod d)) gives
 
     sum d^alpha floor(x/d) = x * sum d^(alpha-1) - sum d^(alpha-1) (x mod d),
@@ -37,17 +37,11 @@ and every term of the last sum is below d^alpha <= D^alpha whatever x is,
 so its chunks stay int64 up to D^alpha * 2^14 < 2^63: at alpha = 1 always,
 at alpha = 2 up to D of about 2.37e7.
 
-The chunk kernels below x = 2^53 (exact alpha 0 and 1, float mode, and
-float G in cw_sums) take d as float64 and build no array per chunk.
-_d_chunks(..., as_float=True) gives d as a slice of divisors._BASE = 0, 1,
-..., 2^14 in float64 or, past it, as _BASE[:n] + start written into one
-row: both addends and the sum are integers below 2^53, so d is exact, with
-no int64 arange and no cast.  Either way the chunk is read-only: the float
-weights d^alpha come from _float_weights, d itself at alpha = 1, else
-raised in a row of the caller.  Every other intermediate is written with
-out= into a few float64 rows of min(range, _FAST_CHUNK) entries, the
-workspace, allocated once per call, so a tiny call allocates a few hundred
-bytes.
+Below x = 2^53, exact alpha 0 and 1 and float mode take d as float64
+chunks, exact alpha 0 and 1 sum each chunk in float64, and every
+intermediate is written with out= into a few float64 rows of
+min(cutoff, 2^14) entries, allocated once per call, so a tiny call
+allocates a few hundred bytes.
 Exact sums stay exact: at alpha = 1 every x mod d is below d <= D < 2^27,
 so a chunk of at most 2^14 sums below 2^41, and a float sum of nonnegative
 integers is exact while its total is below 2^53, since every partial sum
@@ -58,8 +52,9 @@ float, so every later partial sum, and the total, stay at or above 2^53.
 A float total below 2^53 is therefore exact; past it the quotients are
 summed again in int64, exact under _fast_sum_bound.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
-exact integer equality, not a tolerance.  _power_sum runs before the chunks,
-so its budget refuses first; every other G sum is a cw_sums range kernel.
+exact integer equality, not a tolerance.  The power sums run before the
+chunks, so their budget refuses first; every other G sum is a cw_sums range
+kernel.
 """
 
 from __future__ import annotations
@@ -72,22 +67,11 @@ from functools import cached_property
 import numpy as np
 
 from . import cw_sums
-from .bernoulli import MAX_DEGREE, _scaled_coefficients
-from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
-from .divisors import (_BASE, DivisorSpec, _lane_dtype, _sieve_into, float64_guarded, integer_root,
-                       require_count, restricted_sigma_table)
+from .divisors import (DivisorSpec, _lane_dtype, _sieve_into, float64_guarded, integer_root, require_count,
+                       restricted_sigma_table)
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
-# work budget of every _d_chunks range in terms (x <= 1e18 at a = 2); the cost
-# is linear: for 1e8 terms (x = 1e16 at a = 2) exact summatory_fast takes 0.5 s
-# at alpha = 0 or 1 on int64 chunks and 15 s at alpha = 3 on object chunks
-_FAST_CUTOFF_LIMIT = 10**9
-# fewest leaves whose fraction tree (_fraction_sum) starts in int64 numpy: a
-# numpy level has a fixed cost of several µs, and on the fractions of exact G
-# blocks at x = 4e7 (2-vCPU x86-64) 64 leaves took 1.2-1.5x the time of the
-# Python-int loop, 128 leaves 0.87-0.94x and 1024 leaves 0.54-0.65x
-_INT64_TREE_FLOOR = 128
 
 
 @dataclass
@@ -159,15 +143,15 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     cut = integer_root(x, a) if x >= 1 else 0
     s_lower = None
     if spec.exact:
-        s_lower = _power_sum(cut, alpha - 1) if alpha else None
-        s_pow, s_alpha = _power_sum(cut, alpha + a - 1), _power_sum(cut, alpha)
+        s_lower = cw_sums._power_sum(1, cut, alpha - 1) if alpha else None
+        s_pow, s_alpha = cw_sums._power_sum(1, cut, alpha + a - 1), cw_sums._power_sum(1, cut, alpha)
         s = 0  # sum floor(x/d) at alpha = 0, else sum d^(alpha-1) * (x mod d)
         # below 2**53 the quotients go to one row, and at alpha 0 and 1 d is
         # float and, at alpha = 1, so are the chunk sums (module docstring)
-        q_row = np.empty(min(cut, _FAST_CHUNK)) if x < 2**53 else None
-        for d in _d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
+        q_row = np.empty(min(cut, cw_sums._FAST_CHUNK)) if x < 2**53 else None
+        for d in cw_sums._d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
             if x < 2**53 and d.dtype != object:
-                t = _quotient(x, d, out=q_row[: len(d)])
+                t = cw_sums._quotient(x, d, out=q_row[: len(d)])
                 if not alpha:
                     v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
                     s += int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
@@ -177,7 +161,7 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
                 t *= d
                 np.subtract(x, t, out=t)
             else:
-                t = _mod(x, d) if alpha else x // d
+                t = cw_sums._mod(x, d) if alpha else x // d
             if alpha > 1:
                 t *= d if alpha == 2 else d ** (alpha - 1)
             s += int(t.sum())
@@ -193,13 +177,13 @@ def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, f
     """Float-mode summatory_fast: sum floor(x/d) d^alpha, sum d^(alpha+a-1) and sum d^alpha over d <= cut."""
     s_floor = s_pow = s_alpha = 0.0
     as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
-    n = min(cut, _FAST_CHUNK)
+    n = min(cut, cw_sums._FAST_CHUNK)
     q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
-    for d in _d_chunks(1, cut, None, as_float=as_float):
+    for d in cw_sums._d_chunks(1, cut, None, as_float=as_float):
         n = len(d)
         q, p = q_row[:n], p_row[:n]  # floor(x/d) and d^(a-1), then times d^alpha
         if as_float:
-            _quotient(x, d, out=q)
+            cw_sums._quotient(x, d, out=q)
             np.copyto(p, d)
             for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
                 p *= d
@@ -209,7 +193,7 @@ def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, f
         if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
             s_alpha += n
         else:
-            w = _float_weights(d, alpha, w_row)
+            w = cw_sums._float_weights(d, alpha, w_row)
             p *= w
             q *= w
             s_alpha += float(w.sum())
@@ -220,118 +204,9 @@ def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, f
     return s_floor, s_pow, s_alpha
 
 
-def _power_sum(n: int, m: int) -> int:
-    """sum_{d <= n} d^m = (B_{m+1}(n + 1) - B_{m+1}(1)) / (m + 1), exactly.
-
-    B_{m+1} is evaluated by Horner's rule on Python ints with the cached
-    integer-scaled coefficients, so the cost does not grow with n.  Past
-    bernoulli.MAX_DEGREE the coefficients would cost more than the terms
-    (their recurrence grows faster than quadratically in the degree), so
-    d^m is summed directly, refused past n = cw_sums._EXACT_TERMS_LIMIT.
-    """
-    if m == 0:
-        return n
-    if m >= MAX_DEGREE:
-        if n > cw_sums._EXACT_TERMS_LIMIT:
-            raise ValueError(f"{n} terms of degree {m} exceed the work budget of {cw_sums._EXACT_TERMS_LIMIT}")
-        return sum(d**m for d in range(1, n + 1))
-    den_c, c = _scaled_coefficients(m + 1)
-    acc = 0
-    for ck in reversed(c):
-        acc = acc * (n + 1) + ck
-    return (acc - sum(c)) // (den_c * (m + 1))
-
-
-def _quotient(x: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x // d as float64, for 0 <= x < 2**53 and a chunk of integers 1 <= d < 2**53.
-
-    The chunk may be int64 or float64: its entries are exact floats either
-    way.  floor(fl(x / d)) = x // d, and x - d * q is the exact remainder.
-    Proof: with q = x // d, x/d lies in [q, q + 1 - 1/d], and q is a float.
-    Rounding is monotone, so fl(x/d) >= q, and its error is below
-    (x/d) * 2**-53 < 1/d, so fl(x/d) < q + 1.  Then d * q <= x < 2**53 and
-    x - d * q are exact too.  A float division and a floor cost less than
-    half of an int64 x // d or x % d.  At x >= 2**53 only those are exact.
-    out, if given, receives the quotients.
-    """
-    q = np.divide(float(x), d, out=out)
-    return np.floor(q, out=q)
-
-
-def _d_chunks(lo: int, hi: int, sum_bound, *args, as_float: bool = False):
-    """d = lo..hi in numpy chunks of at most _FAST_CHUNK, refused past _FAST_CUTOFF_LIMIT terms.
-
-    A chunk d = start..end is int64 when sum_bound(start, end, *args), a bound on
-    every integer term the caller sums over it and on their sum, is below 2**63,
-    else a Python-int object array.  Callers that sum no integer term over d
-    in numpy (float sums, fraction trees on Python ints) pass None.  With
-    as_float, for hi < 2**53, a chunk that would be int64 is a read-only
-    float64 array instead: the slice _BASE[start:end + 1] while end <
-    len(_BASE), past it _BASE[:n] + start written into one row of
-    min(hi - lo + 1, _FAST_CHUNK) entries, allocated once per loop.  No int64
-    arange and no cast is built.
-    """
-    if hi - lo + 1 > _FAST_CUTOFF_LIMIT:
-        raise ValueError(f"{hi - lo + 1} terms exceed the work budget of {_FAST_CUTOFF_LIMIT} terms")
-    row = None
-    for start in range(lo, hi + 1, _FAST_CHUNK):
-        end = min(start + _FAST_CHUNK - 1, hi)
-        n = end - start + 1
-        fits = sum_bound is None or sum_bound(start, end, *args) < 2**63
-        if not (fits and as_float):
-            yield np.arange(start, end + 1, dtype=np.int64 if fits else object)
-        elif end < len(_BASE):
-            yield _BASE[start : end + 1]
-        else:
-            if row is None:
-                row = np.empty(min(hi - lo + 1, _FAST_CHUNK))
-            d = np.add(_BASE[:n], start, out=row[:n])
-            d.flags.writeable = False
-            yield d
-
-
-def _float_weights(d: np.ndarray, alpha, row: np.ndarray) -> np.ndarray:
-    """d**float(alpha) in float64 for a chunk d of _d_chunks, alpha != 0, not to be written.
-
-    A float chunk at alpha = 1 is its own weight; otherwise d is copied into
-    row[:len(d)] and raised there with **=, the operator of the float
-    references in the tests, so the weights match theirs bit for bit.
-    """
-    if alpha == 1 and d.dtype == np.float64:
-        return d
-    w = row[: len(d)]
-    np.copyto(w, d)
-    if alpha != 1:  # pow(d, 1.0) = d
-        w **= float(alpha)
-    return w
-
-
-def _mod(x: int, d: np.ndarray) -> np.ndarray:
-    """x mod d in d's dtype: r < d fits it even where x does not.
-
-    From x = 2**63 on, an int64 chunk whose d are all below 2**31 reduces x by
-    its 32-bit limbs, most significant first, as r = ((r << 32) | limb) % d:
-    r < d < 2**31 before each step, so (r << 32) | limb < 2**63 stays in
-    int64.  Every chunk of summatory_fast qualifies, since its range starts at
-    1 and holds at most _FAST_CUTOFF_LIMIT = 10**9 < 2**31 terms.  Object
-    chunks, and int64 chunks of larger d (block ranges in cw_sums), take
-    Python ints.
-    """
-    if x < 2**63 or d.dtype == object:
-        return x % d
-    if d[-1] >= 2**31:
-        return (x % d.astype(object)).astype(d.dtype)
-    r = np.zeros_like(d)
-    for shift in range((x.bit_length() - 1) // 32 * 32, -1, -32):
-        r <<= 32
-        r |= (x >> shift) & 0xFFFFFFFF
-        r %= d
-    return r
-
-
 def _fast_sum_bound(lo: int, hi: int, x: int, alpha: int) -> int:
     # alpha >= 1: 0 <= x mod d < d, so d^(alpha-1) * (x mod d) < d^alpha <= hi^alpha,
-    # and its factors are below that too, whatever x is (_mod brings x mod d
+    # and its factors are below that too, whatever x is (cw_sums._mod brings x mod d
     # into int64 from x >= 2**63).  alpha = 0: floor(x/d) <= x/d, and the
     # k-th of the (hi // lo).bit_length() dyadic pieces lo*2^k <= d < lo*2^(k+1),
     # which cover lo..hi, has at most lo*2^k terms of at most x/(lo*2^k), so
@@ -340,72 +215,6 @@ def _fast_sum_bound(lo: int, hi: int, x: int, alpha: int) -> int:
     if alpha >= 1:
         return hi**alpha * (hi - lo + 1)
     return x * (hi // lo).bit_length()
-
-
-def _fraction_sum(num, base, e: int = 1) -> tuple[int, int]:
-    """(n, b) with n / b**e = sum of num[i] / base[i]**e, base[i] > 0, unreduced; (0, 1) if empty.
-
-    A pairwise tree: each level merges neighbours a / b**e and c / f**e as
-
-        g = gcd(b, f),   n = a * (f//g)**e + c * (b//g)**e,   base (b//g) * f,
-
-    so a node's base is the lcm of its leaves' bases and its denominator,
-    that base to the e, the lcm of their denominators; (n, b) does not depend
-    on the tree's shape.  The gcds run on the bases, e times shorter than the
-    denominators.  An int64 array of at least _INT64_TREE_FLOOR leaves runs
-    its first levels in numpy, as many as _int64_levels proves stay below
-    2**63; the rest, and any other input, runs on Python ints, where nothing
-    can overflow.  The callers pass arrays of one _d_chunks chunk, at most
-    _FAST_CHUNK leaves, which bounds the Python-int tree and its peak memory.
-    """
-    if isinstance(base, np.ndarray):
-        if len(base) >= _INT64_TREE_FLOOR and base.dtype == np.int64:
-            num, base = _int64_levels(num, base, e)
-        num, base = num.tolist(), base.tolist()
-    while len(base) > 1:
-        merged_num, merged_base = [], []
-        if e == 1:  # no powers: they, or a test per merge, slow small trees by 3-24 %
-            for a, b, c, f in zip(num[::2], base[::2], num[1::2], base[1::2]):
-                g = math.gcd(b, f)
-                b //= g
-                merged_num.append(a * (f // g) + c * b)
-                merged_base.append(b * f)
-        else:
-            for a, b, c, f in zip(num[::2], base[::2], num[1::2], base[1::2]):
-                g = math.gcd(b, f)
-                b //= g
-                merged_num.append(a * (f // g) ** e + c * b**e)
-                merged_base.append(b * f)
-        if len(base) % 2:
-            merged_num.append(num[-1])
-            merged_base.append(base[-1])
-        num, base = merged_num, merged_base
-    return (num[0], base[0]) if base else (0, 1)
-
-
-def _int64_levels(num: np.ndarray, base: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first levels of _fraction_sum's tree, merged in int64 numpy.
-
-    With A = max |num| and M = max base, a node of level l has base at most
-    B_l = M**(2**l) and |numerator| at most N_l = 2**l * A * M**(e*(2**l - 1)),
-    since N_{l+1} = 2 * N_l * B_l**e.  Every product and sum of the merge into
-    level l + 1 is at most N_{l+1} or B_{l+1}, so a level runs in int64 while
-    both stay below 2**63 (A is taken as at least 1, so that N_{l+1} also
-    covers (b//g)**e <= B_l**e).  As in the Python-int loop, a level of odd
-    length carries its last node to the next.
-    """
-    n_top, b_top = max(int(np.abs(num).max()), 1), int(base.max())
-    while len(base) > 1:
-        n_top, b_top = 2 * n_top * b_top**e, b_top * b_top
-        if n_top >= 2**63 or b_top >= 2**63:
-            break
-        m = len(base) // 2 * 2
-        b, f = base[:m:2], base[1:m:2]
-        g = np.gcd(b, f)
-        b = b // g
-        num = np.concatenate((num[:m:2] * (f // g) ** e + num[1:m:2] * b**e, num[m:]))
-        base = np.concatenate((b * f, base[m:]))
-    return num, base
 
 
 def _brute_root(x: int, spec: DivisorSpec) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwlab import invariants, summatory
+from cwlab import cw_sums, invariants
 from cwlab.bernoulli import MAX_DEGREE, bernoulli_coefficients, psi
 from cwlab.cw_sums import (
     _EXACT_TERMS_LIMIT,
@@ -17,6 +17,7 @@ from cwlab.cw_sums import (
     GSumSpec,
     _exact_range_sum,
     _horner_bound,
+    _power_sum,
     block_g,
     g_sum,
     gsum_cutoff,
@@ -62,10 +63,10 @@ def float_reference_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     # chunk's dtype, then np.polyval
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
     total = 0.0
-    for d in summatory._d_chunks(lo, hi, None):
+    for d in cw_sums._d_chunks(lo, hi, None):
         frac = 0.0
         if j:
-            frac = summatory._mod(x, d) / d if isinstance(x, int) else np.modf(float(x) / d)[0]
+            frac = cw_sums._mod(x, d) / d if isinstance(x, int) else np.modf(float(x) / d)[0]
         total += float(np.sum(np.polyval(coeffs, frac) * d.astype(np.float64) ** float(alpha)))
     return total
 
@@ -236,7 +237,7 @@ def psi_float_loop(n_start, x, shift_a, shift_b):
     # small x, and x past 2**59 where 16x leaves int64 and _mod reduces it by limbs
     x=st.one_of(st.integers(0, 10**7), st.integers(2**59 - 100, 2**80)),
 )
-# either side of summatory._INT64_TREE_FLOOR = 128 leaves, where the tree's int64 levels start
+# either side of cw_sums._INT64_TREE_FLOOR = 128 leaves, where the tree's int64 levels start
 @example(shift=(1, 0), n_start=127, x=0)
 @example(shift=(0, -1), n_start=128, x=2**59 + 1)
 @example(shift=(-1, 0), n_start=129, x=2**63 - 1)
@@ -303,12 +304,12 @@ def test_kernel_chunk_boundaries(monkeypatch):
     straddling = ((10**9 + 7, 4, 0, 17_000, 18_000, 1), (2**64 + 7, 0, 4, 5_000, 5_600, 121))
     cases += [case[:5] for case in straddling]
     want = [_exact_range_sum(*case) for case in cases]
-    monkeypatch.setattr(summatory, "_FAST_CHUNK", p)
+    monkeypatch.setattr(cw_sums, "_FAST_CHUNK", p)
     # in chunks of 97, weight * d**4 * 97 < 2**63 holds for the first chunks of
     # these ranges and fails for the last: G_{a,4,0} (weight 1) and
     # G_{a,0,4} (weight 121, B_4 scaled by 30)
     for x, alpha, j, lo, hi, weight in straddling:
-        dtypes = {d.dtype for d in summatory._d_chunks(lo, hi, _horner_bound, weight, 4)}
+        dtypes = {d.dtype for d in cw_sums._d_chunks(lo, hi, _horner_bound, weight, 4)}
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for case, w in zip(cases, want):
         got = _exact_range_sum(*case)
@@ -325,7 +326,7 @@ def test_kernel_chunk_boundaries(monkeypatch):
 @pytest.mark.parametrize("chunk", (None, 97))
 def test_float_kernel_bit_equal_to_integer_remainder(monkeypatch, chunk):
     if chunk:
-        monkeypatch.setattr(summatory, "_FAST_CHUNK", chunk)
+        monkeypatch.setattr(cw_sums, "_FAST_CHUNK", chunk)
     xs = [1, 17, 10**4 + 1, 2**31 + 11, 10**9 + 7, 10**12 + 39, 2**53 - 1, 2**53, 2**53 + 1,
           2**63 + 5, 10.5, 1e10 + 0.25, 4.5e15]
     for a in (2, 3, 5):
@@ -379,12 +380,12 @@ def test_exact_work_budget():
     # terms count times the fraction degree e = j - alpha: 2**18 + 1 terms at e = 4
     with pytest.raises(ValueError, match="work budget"):
         g_sum(GSumSpec(2, 0, 4, (2**18 + 1) ** 2))
-    # float mode is bounded by the summatory_fast cutoff budget, far above this
+    # float mode is bounded by the _d_chunks budget, far above this
     assert isinstance(g_sum(GSumSpec(2, 1.0, 2, x)), float)
 
 
 def test_j0_power_sums_take_the_closed_form(monkeypatch):
-    # G_{a,m,0} for m >= 0 is summatory._power_sum at any cutoff: Faulhaber at n = 10**15
+    # G_{a,m,0} for m >= 0 is cw_sums._power_sum at any cutoff: Faulhaber at n = 10**15
     n = 10**15
     faulhaber = (n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, (n * (n + 1) // 2) ** 2)
     for m, want in enumerate(faulhaber):
@@ -396,16 +397,28 @@ def test_j0_power_sums_take_the_closed_form(monkeypatch):
         for n_start in (1, 300, 600, 999, 1000, 5000):
             want = sum(d**m for d in range(n_start + 1, min(2 * n_start, 1000) + 1))
             assert same(block_g(n_start, spec), want), (m, n_start)
+    # _power_sum over any range, empty ones included, equals a loop on both sides
+    # of MAX_DEGREE, where the closed form gives way to summing the terms
+    for m in (0, 1, 2, MAX_DEGREE - 1, MAX_DEGREE, MAX_DEGREE + 6):
+        for lo in (1, 2, 300, 999, 1000, 1001):
+            for hi in (lo - 2, lo - 1, lo, 1000):
+                assert same(_power_sum(lo, hi, m), sum(d**m for d in range(lo, hi + 1))), (m, lo, hi)
+    # at the budget edge past MAX_DEGREE, from d = 3: 2**20 terms run (checked
+    # modulo the Mersenne prime 2**61 - 1) and 2**20 + 1 terms are refused
+    n, lo, p = _EXACT_TERMS_LIMIT, 3, 2**61 - 1
+    got = _power_sum(lo, lo + n - 1, MAX_DEGREE)
+    assert type(got) is int and got % p == sum(pow(d, MAX_DEGREE, p) for d in range(lo, lo + n)) % p
+    with pytest.raises(ValueError, match="work budget"):
+        _power_sum(lo, lo + n, MAX_DEGREE)
     # past MAX_DEGREE a block sums its own terms only: one term past d = 2**20 runs,
     # and an empty block there is 0
-    n = _EXACT_TERMS_LIMIT
     assert same(block_g(n, GSumSpec(2, MAX_DEGREE, 0, (n + 1) ** 2)), (n + 1) ** MAX_DEGREE)
     assert same(block_g(n + 1, GSumSpec(2, MAX_DEGREE, 0, (n + 1) ** 2)), 0)
     # a block of 2**20 + 1 terms is refused by its length, before any chunk is built
     def no_chunks(*args, **kwargs):
         raise AssertionError("a chunk was built")
 
-    monkeypatch.setattr(summatory, "_d_chunks", no_chunks)
+    monkeypatch.setattr(cw_sums, "_d_chunks", no_chunks)
     with pytest.raises(ValueError, match="work budget"):
         block_g(n + 1, GSumSpec(2, MAX_DEGREE, 0, (2 * n + 2) ** 2))
 
@@ -414,8 +427,8 @@ def test_shifted_psi_block_work_budget():
     # exact mode is refused from N alone, before any term is computed
     with pytest.raises(ValueError, match="work budget"):
         shifted_psi_block_sum(_PSI_BLOCK_LIMIT + 1, 10**17, 1, 0)
-    # float mode shares the summatory_fast budget, refused before any chunk is built
-    limit = summatory._FAST_CUTOFF_LIMIT
+    # float mode shares the _d_chunks budget, refused before any chunk is built
+    limit = cw_sums._FAST_CUTOFF_LIMIT
     with pytest.raises(ValueError, match="work budget"):
         shifted_psi_block_sum(limit + 1, 1e19, 1, 0)
     # far below it, 2**20 + 1 float terms run
@@ -425,7 +438,7 @@ def test_shifted_psi_block_work_budget():
 
 def test_float_work_budget():
     # refused from the range length alone, before any chunk is built
-    limit = summatory._FAST_CUTOFF_LIMIT
+    limit = cw_sums._FAST_CUTOFF_LIMIT
     for spec in (GSumSpec(2, 1.0, 1, 2**63 + 5), GSumSpec(2, 1.0, 2, 4.0 * limit * limit),
                  GSumSpec(3, 0, 1, 1e30)):
         with pytest.raises(ValueError, match="work budget"):

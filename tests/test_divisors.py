@@ -7,7 +7,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from cwlab import divisors, invariants, summatory
+from cwlab import cw_sums, divisors, invariants, summatory
 from cwlab.divisors import (
     _TRIAL_CHUNK,
     _TRIAL_DIVISION_LIMIT,
@@ -340,10 +340,10 @@ def test_divisors_budget_edge():
 
 
 def test_one_float_base():
-    # the float d chunks of _divisors and of summatory._d_chunks share one read-only base
-    assert summatory._BASE is divisors._BASE
+    # the float d chunks of _divisors and of cw_sums._d_chunks share one read-only base
+    assert cw_sums._BASE is divisors._BASE
     assert not divisors._BASE.flags.writeable
-    assert len(divisors._BASE) > max(_TRIAL_CHUNK, summatory._FAST_CHUNK)
+    assert len(divisors._BASE) > max(_TRIAL_CHUNK, cw_sums._FAST_CHUNK)
 
 
 @pytest.mark.parametrize("a", (2, 3, 4))

@@ -5,9 +5,11 @@ cwlab and running one command loaded.  Where a golden output exists, the
 command's stdout must still match it byte for byte.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,25 @@ PROBE = (
 def _python(*args, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(cwlab.__file__).parents[1]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_package_import_graph_is_acyclic():
+    # module -> the cwlab modules its `from .m import` and `from . import m`
+    # statements name, those inside functions included
+    package = Path(cwlab.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges |= {node.module} if node.module else {alias.name for alias in node.names}
+        graph[name] = edges & modules
+    assert "cw_sums" in graph["summatory"] and "invariants" in graph["cli"]  # module- and function-level edges
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
 def test_import_cwlab_leaves_mpmath_out():

@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwlab import invariants
+from cwlab import cw_sums, invariants
 from cwlab import summatory as s
+from cwlab.cw_sums import _FAST_CHUNK, _FAST_CUTOFF_LIMIT, _d_chunks, _fraction_sum, _quotient
 from cwlab.divisors import (DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table, square_table,
                             tau_table)
 from cwlab.invariants import SPECS
 from cwlab.summatory import (
-    _FAST_CUTOFF_LIMIT,
     BRUTEFORCE_LIMIT,
-    _FAST_CHUNK,
-    _d_chunks,
     _fast_sum_bound,
-    _fraction_sum,
-    _quotient,
     summatory_bruteforce,
     summatory_bruteforce_table,
     summatory_fast,
@@ -222,7 +218,7 @@ def test_fast_chunk_boundaries(monkeypatch):
     # alpha = 0: later chunks pass the term bound, so only x < 2**63 keeps them off int64
     cases.append((2**63 + 1, DivisorSpec(4, 0)))
     want = [fast_fields(x, spec) for x, spec in cases]
-    monkeypatch.setattr(s, "_FAST_CHUNK", p)
+    monkeypatch.setattr(cw_sums, "_FAST_CHUNK", p)
     dtypes = {d.dtype for d in _d_chunks(1, 10**5, _fast_sum_bound, 10**10, 5)}
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for (x, spec), w in zip(cases, want):
@@ -248,7 +244,7 @@ def test_fast_near_int64_limit(monkeypatch, alpha):
     for x in (2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64 + 7, 10**20 + 3):
         want = loop_reference(x, spec)
         for chunk in (_FAST_CHUNK, 97):
-            monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+            monkeypatch.setattr(cw_sums, "_FAST_CHUNK", chunk)
             assert fast_fields(x, spec) == want, (x, chunk)
 
 
@@ -263,7 +259,7 @@ def test_mod_by_limbs():
         for x in (base - 1, base, base + 1, base + rng.randrange(2**40)):
             for d in chunks:
                 d = np.sort(d)
-                r = s._mod(x, d)
+                r = cw_sums._mod(x, d)
                 assert r.dtype == d.dtype and r.tolist() == [x % v for v in d.tolist()], (x, d[-1])
 
 
@@ -342,7 +338,7 @@ def test_budget_refuses_before_any_chunk(monkeypatch):
     def no_chunks(*args, **kwargs):
         raise AssertionError("a chunk was built")
 
-    monkeypatch.setattr(s, "_d_chunks", no_chunks)
+    monkeypatch.setattr(cw_sums, "_d_chunks", no_chunks)
     # the exact harmonic number H_cutoff is an exact range sum of cw_sums, within its budget
     for read in (lambda: b.term_main, lambda: b.term_psi, b.terms):
         with pytest.raises(ValueError, match="work budget"):
@@ -424,14 +420,14 @@ def test_fraction_sum_merge(monkeypatch):
     # leaves that reach the int64 bound of the first level: coprime bases k
     # and k + 2 whose product passes 2**63, and numerators A whose merged sum
     # A * (2k + 2) does, though A * (k + 2) does not
-    floor = s._INT64_TREE_FLOOR
+    floor = cw_sums._INT64_TREE_FLOOR
     for k, a in ((math.isqrt(2**63) | 1, 1), (2**20 + 1, 2**63 // (2 * 2**20 + 4) + 1)):
         base, num = np.array([k, k + 2] * floor), np.full(2 * floor, a)
         assert check(num, base) == check(num.tolist(), base.tolist())
     # int64 arrays of at least _INT64_TREE_FLOOR leaves, and only those, run
     # the numpy levels
-    lengths, levels = [], s._int64_levels
-    monkeypatch.setattr(s, "_int64_levels", lambda num, base, e: lengths.append(len(base)) or levels(num, base, e))
+    lengths, levels = [], cw_sums._int64_levels
+    monkeypatch.setattr(cw_sums, "_int64_levels", lambda num, base, e: lengths.append(len(base)) or levels(num, base, e))
     for n in (floor - 1, floor):
         check(np.ones(n, dtype=np.int64), np.arange(1, n + 1))
         check(np.ones(n, dtype=object), np.arange(1, n + 1, dtype=object))
@@ -458,7 +454,7 @@ def test_fraction_sum_int64_levels(data):
     # int64 arrays near the leaf-count floor, with bases just below and just
     # above the edge of each level's int64 bound and numerators near A, must
     # give the pair of the Python-int list path and the Fraction sum
-    floor = s._INT64_TREE_FLOOR
+    floor = cw_sums._INT64_TREE_FLOOR
     n = data.draw(st.sampled_from((floor - 1, floor, floor + 1, 2 * floor + 3, 1000)), label="n")
     e = data.draw(st.integers(1, 4), label="e")
     levels = data.draw(st.integers(1, 4), label="levels")
@@ -506,10 +502,10 @@ def test_fast_near_float_quotient_limit(monkeypatch):
     cases += [(D**3, DivisorSpec(3, alpha)) for D in (2**14 - 1, 2**14, 2**14 + 1) for alpha in (0, 1)]
     want = [loop_reference(x, spec) for x, spec in cases]
     calls = []
-    quotient = s._quotient
-    monkeypatch.setattr(s, "_quotient", lambda x, d, **kw: calls.append(x) or quotient(x, d, **kw))
+    quotient = cw_sums._quotient
+    monkeypatch.setattr(cw_sums, "_quotient", lambda x, d, **kw: calls.append(x) or quotient(x, d, **kw))
     for chunk in (_FAST_CHUNK, 97):
-        monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+        monkeypatch.setattr(cw_sums, "_FAST_CHUNK", chunk)
         calls.clear()
         for (x, spec), w in zip(cases, want):
             assert fast_fields(x, spec) == w, (chunk, x, spec)
@@ -518,7 +514,7 @@ def test_fast_near_float_quotient_limit(monkeypatch):
 
 @pytest.mark.parametrize("chunk", (_FAST_CHUNK, 97))
 def test_float_fast_bit_equal_to_integer_quotient(monkeypatch, chunk):
-    monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+    monkeypatch.setattr(cw_sums, "_FAST_CHUNK", chunk)
     xs = [1, 2, 17, 100, 300, 10**4 + 1, 10**6 + 3, 2**31 + 11, 10**9 + 7, 10**12 + 39,
           2**53 - 1, 2**53, 2**53 + 1, 2**59 + 3, 2**63 - 25]
     for a in (2, 3, 4):
@@ -566,20 +562,20 @@ def test_fast_remainder_form_near_switches(data):
     want = loop_reference(x, spec)
     for chunk in (_FAST_CHUNK, 97):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(s, "_FAST_CHUNK", chunk)
+            mp.setattr(cw_sums, "_FAST_CHUNK", chunk)
             assert fast_fields(x, spec) == want, chunk
 
 
 def _chunk_dtypes(monkeypatch):
     seen = []
-    chunks = s._d_chunks
+    chunks = cw_sums._d_chunks
 
     def recording(*args, **kwargs):
         for d in chunks(*args, **kwargs):
             seen.append(d.dtype)
             yield d
 
-    monkeypatch.setattr(s, "_d_chunks", recording)
+    monkeypatch.setattr(cw_sums, "_d_chunks", recording)
     return seen
 
 
@@ -620,7 +616,7 @@ def test_alpha0_dyadic_sum_bound(monkeypatch):
     for x in (2**53 - 3, 2**53 - 7):
         want = loop_reference(x, spec)
         for chunk in (2, 3):
-            monkeypatch.setattr(s, "_FAST_CHUNK", chunk)
+            monkeypatch.setattr(cw_sums, "_FAST_CHUNK", chunk)
             assert fast_fields(x, spec) == want, (x, chunk)
 
 
@@ -629,8 +625,8 @@ def test_breakdown_keeps_power_sum(monkeypatch):
     # summatory_fast built; past bernoulli.MAX_DEGREE a second sum would be
     # another term-by-term pass over d
     passes = []
-    power_sum = s._power_sum
-    monkeypatch.setattr(s, "_power_sum", lambda n, m: passes.append(m) or power_sum(n, m))
+    power_sum = cw_sums._power_sum
+    monkeypatch.setattr(cw_sums, "_power_sum", lambda lo, hi, m: passes.append(m) or power_sum(lo, hi, m))
     x = 10**6 + 3
     for alpha in (1, 2, 70):
         b = summatory_fast(x, DivisorSpec(2, alpha))
