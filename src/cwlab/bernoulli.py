@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
+
+from .divisors import integer_root
 
 MAX_DEGREE = 64
 
@@ -133,7 +136,8 @@ def bernoulli_fourier_truncated(j: int, t, m_max: int) -> float:
         raise ValueError(f"degree capped at {MAX_DEGREE}, got {j}")
     if m_max < 1:
         raise ValueError("truncation order must be >= 1")
-    m = np.arange(1, m_max + 1, dtype=np.float64)
+    top = sys.float_info.max  # m**j is finite up to the largest m with m**j <= top; past it the term is 0
+    m = np.arange(1, (m_max if m_max**j <= top else integer_root(int(top), j)) + 1, dtype=np.float64)
     angles = (2.0 * math.pi * float(t)) * m
     trig = np.cos(angles) if j % 2 == 0 else np.sin(angles)
     series = float(np.sum(trig / m**j))

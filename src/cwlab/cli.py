@@ -274,6 +274,8 @@ def _cmd_divisor(args) -> int:
 
 def _cmd_gsum(args) -> int:
     spec = GSumSpec(args.a, args.alpha, args.j, args.x)
+    if spec.exact and spec.j == 0:  # G_{a,alpha,0}(x) = sum_{d <= D} d**alpha >= D**alpha
+        _refuse_overlong(args, spec.cutoff, spec.alpha)
     value = g_sum(spec)
     row = {
         "a": args.a,

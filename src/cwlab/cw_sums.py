@@ -83,6 +83,8 @@ class GSumSpec:
 
     def __post_init__(self):
         require_finite(a=self.a, alpha=self.alpha, x=self.x)
+        if isinstance(self.alpha, bool) or isinstance(self.x, bool):
+            raise ValueError(f"alpha and x must be ints or floats, got alpha={self.alpha!r}, x={self.x!r}")
         if self.a <= 1:
             raise ValueError(f"restriction root a must exceed 1, got {self.a!r}")
         require_count("Bernoulli index j", self.j, 0)
@@ -93,9 +95,7 @@ class GSumSpec:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.x, int) and isinstance(self.alpha, int) and not (
-            isinstance(self.x, bool) or isinstance(self.alpha, bool)
-        )
+        return isinstance(self.x, int) and isinstance(self.alpha, int)
 
     @property
     def cutoff(self) -> int:
@@ -381,10 +381,7 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
 
 def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
     """_float_chunk_sums(x, alpha, j, lo, hi), refused past float64 (divisors.float64_guarded)."""
-    # on [0, 1) B_j and Horner's partial values are at most sum |c_k| < 2**(3j + 1)
-    # (j <= bernoulli.MAX_DEGREE), a weight at most hi**alpha, and a sum hi times that
-    top = 3 * j + 1 + (max(alpha, 0) + 1) * hi.bit_length()
-    return float64_guarded(alpha, top, _float_chunk_sums, x, alpha, j, lo, hi)
+    return float64_guarded(alpha, hi, _float_chunk_sums, x, alpha, j, lo, hi)
 
 
 def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
@@ -431,8 +428,6 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
         if j:
             b *= w
         total += float(np.sum(b if j else w))
-    if not math.isfinite(total):  # a Python float sum reached inf
-        raise OverflowError
     return total
 
 

@@ -65,22 +65,34 @@ def require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def float64_guarded(alpha, log2_top: float, fn, *args):
-    """fn(*args), a float-mode computation, refused with a ValueError naming alpha if it overflows float64.
+def float64_guarded(alpha, n: int, fn, *args):
+    """fn(*args), a float-mode computation over powers of integers up to n, refused
+    with a ValueError naming alpha if it overflows float64.
 
-    log2_top bounds log2 of every power, product and sum fn computes.  Below
-    1000 nothing can overflow and fn runs as it is: numpy's error state costs
-    about 1.5 us, a seventh of a tiny float summatory_fast call.  Otherwise
-    numpy overflow and invalid operations raise inside fn, as do a Python
-    d**alpha and math.fsum past float64, and fn raises OverflowError for a
-    Python float sum that reached inf: no inf or NaN is returned and no numpy
-    warning printed.
+    fn sums at most n terms, each a weight d**alpha <= n**max(alpha, 0) times
+    at most a factor <= 4n (floor(x/d), d**(a-1) or a sieve entry's divisor
+    count) and a B_j or Horner value below sum |c_k| < 2**(3j + 1) <= 2**193
+    (j <= bernoulli.MAX_DEGREE), so every value it forms, at most a few such
+    sums, is below 2**((max(alpha, 0) + 2) * b + 200), b = n.bit_length().
+    That covers each caller's tighter bound: (alpha + 1) b for divisor powers
+    and the sieve table, (alpha + 2) b + 2 for float summatory_fast and the
+    brute-force sums and table (alpha >= 0 at all of these), and
+    3j + 1 + (max(alpha, 0) + 1) b for the G kernels.  Below 1000 fn runs as it
+    is, outside numpy's error state (about 1.5 us, a seventh of a tiny float
+    summatory_fast call).  Otherwise numpy overflow and invalid operations
+    raise inside fn, as do a Python d**alpha and math.fsum past float64, and
+    so does a float fn returns, alone or in a tuple, once a sum of finite
+    terms reached inf: no inf or NaN is returned and no numpy warning printed.
     """
-    if log2_top < 1000:
+    if (alpha + 2 if alpha > 0 else 2) * n.bit_length() + 200 < 1000:  # the bound, without a call of max()
         return fn(*args)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return fn(*args)
+            out = fn(*args)
+        for v in out if isinstance(out, tuple) else (out,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise OverflowError
+        return out
     except (OverflowError, FloatingPointError):
         raise ValueError(f"alpha = {alpha!r} is too large: d**alpha or a sum of such terms "
                          "overflows float64; pass a smaller alpha") from None
@@ -235,8 +247,7 @@ def _divisor_power_sum(divs, alpha, n: int):
     math.fsum of the float powers, refused past float64."""
     if isinstance(alpha, int):
         return sum(d**alpha for d in divs)
-    # at most n terms, each d**alpha <= n**alpha; fsum draws them inside the guard
-    return float64_guarded(alpha, (alpha + 1) * n.bit_length(), math.fsum, (d**alpha for d in divs))
+    return float64_guarded(alpha, n, math.fsum, (d**alpha for d in divs))  # fsum draws the powers inside
 
 
 def is_square(n: int) -> int:
@@ -380,9 +391,7 @@ def restricted_sigma_table(limit: int, spec: DivisorSpec) -> np.ndarray:
     root = integer_root(limit, spec.a)
     lane = _lane_dtype(limit, root, spec)
     out = np.zeros(limit + 1, dtype=np.int64 if spec.exact else np.float64)
-    # every entry is at most limit**(alpha + 1), as in divisor_sum_restricted
-    return float64_guarded(spec.alpha, (spec.alpha + 1) * limit.bit_length(),
-                           _sieve_in_lane, out, 0, spec, root, lane)
+    return float64_guarded(spec.alpha, limit, _sieve_in_lane, out, 0, spec, root, lane)
 
 
 def _sigma_table(limit: int, alpha: int) -> np.ndarray:

@@ -59,7 +59,6 @@ kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -141,7 +140,6 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
         raise ValueError("float mode needs x < 2**63; use an integer alpha for exact mode")
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
-    s_lower = None
     if spec.exact:
         s_lower = cw_sums._power_sum(1, cut, alpha - 1) if alpha else None
         s_pow, s_alpha = cw_sums._power_sum(1, cut, alpha + a - 1), cw_sums._power_sum(1, cut, alpha)
@@ -166,15 +164,13 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
                 t *= d if alpha == 2 else d ** (alpha - 1)
             s += int(t.sum())
         s_floor = x * s_lower - s if alpha else s
-    else:
-        # every weight is at most cut**alpha, every product and sum at most x * cut**(alpha + 1)
-        top = (alpha + 2) * x.bit_length()
-        s_floor, s_pow, s_alpha = float64_guarded(alpha, top, _float_sums, x, a, alpha, cut)
-    return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha, s_lower)
+        return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha, s_lower)
+    total, s_floor, s_pow, s_alpha = float64_guarded(alpha, x, _float_sums, x, a, alpha, cut)
+    return SummatoryBreakdown(x, spec, total, cut, s_floor, s_pow, s_alpha)
 
 
-def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, float]:
-    """Float-mode summatory_fast: sum floor(x/d) d^alpha, sum d^(alpha+a-1) and sum d^alpha over d <= cut."""
+def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, float, float]:
+    """Float summatory_fast over d <= cut: the total, sum floor(x/d) d^alpha, sum d^(alpha+a-1), sum d^alpha."""
     s_floor = s_pow = s_alpha = 0.0
     as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
     n = min(cut, cw_sums._FAST_CHUNK)
@@ -199,9 +195,7 @@ def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, f
             s_alpha += float(w.sum())
         s_pow += float(p.sum())
         s_floor += float(q.sum())
-    if not math.isfinite(s_floor - s_pow + s_alpha):  # a Python float sum reached inf
-        raise OverflowError
-    return s_floor, s_pow, s_alpha
+    return s_floor - s_pow + s_alpha, s_floor, s_pow, s_alpha
 
 
 def _fast_sum_bound(lo: int, hi: int, x: int, alpha: int) -> int:
@@ -250,13 +244,9 @@ def summatory_bruteforce(x: int, spec: DivisorSpec):
             buf.fill(0)
             chunk = _sieve_into(buf[: x + 1 - lo], lo, spec, root)
             total += int(chunk.sum(dtype=np.int64)) if spec.exact else float(chunk.sum())
-        if not (spec.exact or math.isfinite(total)):  # a Python float sum reached inf
-            raise OverflowError
         return total
 
-    # an entry is at most 2 (sqrt(x) + 1) root**alpha <= 4 x**(alpha + 1), a sum x times
-    # that; in exact mode the lane holds every entry and _brute_root bounds every sum
-    return float64_guarded(spec.alpha, (spec.alpha + 2) * x.bit_length() + 2, chunk_sums)
+    return float64_guarded(spec.alpha, x, chunk_sums)
 
 
 def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
@@ -271,6 +261,5 @@ def summatory_bruteforce_table(limit: int, spec: DivisorSpec) -> np.ndarray:
         raise ValueError(f"limit must be in [1, {BRUTEFORCE_LIMIT}]")
     _brute_root(limit, spec)
     full = restricted_sigma_table(limit, spec)
-    # as in summatory_bruteforce: every cumulative sum is at most limit times 4 limit**(alpha + 1)
-    float64_guarded(spec.alpha, (spec.alpha + 2) * limit.bit_length() + 2, lambda: np.cumsum(full, out=full))
+    float64_guarded(spec.alpha, limit, lambda: np.cumsum(full, out=full))
     return full

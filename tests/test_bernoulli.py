@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -147,6 +148,15 @@ def test_fourier_vs_polynomial_oracle():
 
 def test_fourier_convergence_random():
     invariants.bernoulli_fourier(random.Random(17), (2, 3, 4, 5), 1000, 10_000)
+
+
+def test_fourier_stops_where_the_power_overflows():
+    # m**64 passes float64 from m = 2**16 on, where the term is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bernoulli_fourier_truncated(64, 0.3, 10**5)
+    assert got == bernoulli_fourier_truncated(64, 0.3, 2**16 - 1)
+    assert got == pytest.approx(float(bernoulli_func(64, Fraction(3, 10))), rel=1e-12)
 
 
 def test_fourier_rejects_conditional_convergence():

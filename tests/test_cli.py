@@ -426,7 +426,8 @@ def test_float_alpha_overflow_exit_2(argv):
     (["summatory", "--x", "1000000", "--alpha", "100000"], [("cli", "summatory_fast")]),
     (["summatory", "--x", "1000000", "--alpha", "100000", "--mode", "both"],
      [("cli", "summatory_fast"), ("cli", "summatory_bruteforce")]),
-], ids=["divisor", "summatory", "summatory-both"])
+    (["gsum", "--x", "1000000", "--alpha", "100000", "--j", "0"], [("cli", "g_sum")]),
+], ids=["divisor", "summatory", "summatory-both", "gsum"])
 def test_overlong_exact_alpha_refused_before_work(monkeypatch, argv, kernels):
     # the value is at least D**alpha, which provably passes the digit limit: no kernel runs
     import cwlab.cli as cli
@@ -439,18 +440,22 @@ def test_overlong_exact_alpha_refused_before_work(monkeypatch, argv, kernels):
         monkeypatch.setattr({"cli": cli, "divisors": divisors}[module], name, never)
     code, out, err = run(argv)
     assert (code, out) == (2, "")
-    hint = "pass a smaller --alpha or --n" if argv[0] == "divisor" else "pass a smaller --alpha or --x"
+    hint = {
+        "divisor": "pass a smaller --alpha or --n",
+        "gsum": "pass a float --alpha (e.g. 1.0) or a float --x to get a double-precision value",
+    }.get(argv[0], "pass a smaller --alpha or --x")
     assert err == f"error: the exact value has more than 4300 digits, too many to print; {hint}\n"
 
 
 @pytest.mark.parametrize("argv, digits", [
     (["divisor", "--n", "36", "--alpha", "5525"], 4300),      # 6**5525 < sigma < 2 * 6**5525
     (["summatory", "--x", "10000", "--alpha", "2149"], 4299),  # the d = D = 100 term leads
-], ids=["divisor", "summatory"])
+    (["gsum", "--x", "10000", "--alpha", "2149", "--j", "0"], 4299),  # 100**2149 < G < 2 * 100**2149
+], ids=["divisor", "summatory", "gsum"])
 def test_exact_alpha_just_under_the_digit_bound_prints(argv, digits):
     code, out, err = run(argv)
     assert code == 0, err
-    value = out.splitlines()[1].split(",")[4 if argv[0] == "summatory" else 3]
+    value = out.splitlines()[1].split(",")[{"summatory": 4, "gsum": 5}.get(argv[0], 3)]
     assert len(value) == digits
 
 

@@ -85,6 +85,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GSumSpec(2, 0, 1, -3)          # x < 0 rejected
     GSumSpec(2, -1, 0, 10)             # j=0 allows any real alpha
+    for args in ((2, True, 1, 10**6), (2, 1, 1, True)):
+        with pytest.raises(ValueError, match="alpha and x must be ints or floats"):
+            GSumSpec(*args)            # a bool is neither exact nor float mode
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

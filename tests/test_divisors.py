@@ -175,6 +175,54 @@ def test_float_alpha_past_float64_refused(call):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: summatory.summatory_fast(10**12, DivisorSpec(2, 1.0)),
+    lambda: cw_sums.g_sum(cw_sums.GSumSpec(2, 1.0, 2, 10**11)),
+    lambda: summatory_bruteforce_table(10**5, DivisorSpec(2, 0.5)),
+    lambda: divisor_sum_restricted(10**12, DivisorSpec(2, 0.5)),
+], ids=["summatory_fast", "g_sum", "summatory_bruteforce_table", "divisor_sum_restricted"])
+def test_float64_guard_fast_path_enters_no_error_state(monkeypatch, call):
+    # (max(alpha, 0) + 2) * n.bit_length() + 200 < 1000: fn runs as it is
+    def errstate(**kwargs):
+        raise AssertionError("numpy's error state was entered")
+
+    monkeypatch.setattr(np, "errstate", errstate)
+    call()
+
+
+@pytest.mark.parametrize("call", [
+    # D = 7745966: the last chunk sums to about 2e307, all chunks to about 2.2e308
+    lambda: cw_sums.g_sum(cw_sums.GSumSpec(2, 44.0, 0, 6 * 10**13)),
+    # D = 11401754: sum floor(x/d) d^alpha reaches inf from finite chunk sums
+    lambda: summatory.summatory_fast(13 * 10**13, DivisorSpec(2, 42.0)),
+], ids=["g_sum", "summatory_fast"])
+def test_float64_guard_refuses_a_total_that_reached_inf(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"alpha = \S+ is too large: .* overflows float64"):
+            call()
+
+
+def test_float_mode_scalars_are_python_floats():
+    from cwlab import bernoulli
+
+    spec = DivisorSpec(2, 0.5)
+    values = [
+        summatory_bruteforce(0, spec), summatory_bruteforce(10**3, spec),
+        divisor_sum_restricted(36, spec), sigma_alpha(36, 0.5),
+        cw_sums.shifted_psi_block_sum(3, 100.5), bernoulli.bernoulli_fourier_truncated(64, 0.3, 10**5),
+    ]
+    for x in (0, 1, 300, 10**6, 2**53 + 1):
+        for s in (spec, DivisorSpec(2, 0.0), DivisorSpec(3, 1.0)) if x < 2**53 else (DivisorSpec(3, 1.0),):
+            b = summatory.summatory_fast(x, s)
+            values += [b.total, *b.terms()]
+    for g in (cw_sums.GSumSpec(2, 0.0, 0, 10**6), cw_sums.GSumSpec(2, -0.5, 0, 10**6),
+              cw_sums.GSumSpec(2, 1.0, 2, 10**6), cw_sums.GSumSpec(2, 1, 1, 1000.5),
+              cw_sums.GSumSpec(3, 1.0, 1, 0.5)):
+        values += [cw_sums.g_sum(g), cw_sums.block_g(1, g)]
+    assert [type(v) for v in values] == [float] * len(values)
+
+
 def test_divisors_work_budget():
     # refused from isqrt(n) alone: trial division to 2**200 would never end
     for n in ((_TRIAL_DIVISION_LIMIT + 1) ** 2, 10**18, 2**400):

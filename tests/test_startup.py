@@ -53,6 +53,28 @@ def test_package_import_graph_is_acyclic():
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
+def test_only_float64_guarded_decides_float_overflow():
+    # np.errstate and a bare `raise OverflowError` (no message) appear in
+    # divisors.float64_guarded alone: no kernel makes its own overflow check
+    package = Path(cwlab.__file__).parent
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (where[0], node.name)
+        raised = ast.unparse(node.exc) if isinstance(node, ast.Raise) and node.exc else None
+        bare = raised in ("OverflowError", "OverflowError()")
+        if bare or isinstance(node, ast.Attribute) and node.attr == "errstate":
+            found.add((*where, "raise OverflowError" if bare else "np.errstate"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in package.glob("*.py"):
+        visit(ast.parse(path.read_text()), (path.stem, None))
+    guard = {("divisors", "float64_guarded", check) for check in ("np.errstate", "raise OverflowError")}
+    assert found == guard, sorted(found - guard)
+
+
 def test_import_cwlab_leaves_mpmath_out():
     proc = _python("-c", "import sys, cwlab; print('mpmath' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
