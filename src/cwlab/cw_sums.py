@@ -10,7 +10,7 @@ Every sum over a range of d, here and in summatory_fast, runs the chunks
 of _d_chunks within one work budget in terms, with x // d and x mod d from
 _quotient and _mod and float weights d^alpha from _float_weights.  Exact
 mode (integer x, integer alpha) takes the power sums (j = 0, alpha >= 0)
-from _power_sum and splits every other term at its remainder r = x mod d
+from _power_sums and splits every other term at its remainder r = x mod d
 into an integer part, summed over numpy chunks in int64 where a bound
 proves it safe, and a proper fraction s/d^e.  Every exact sum is one
 reducer, _exact_sum, over a generator of (whole, s, d) per chunk: the
@@ -21,6 +21,8 @@ psi block sums feed the same reducer: per chunk of n, one bernoulli.psi
 call on int64 remainders of 16x modulo 4(4n + a') gives the exact psi
 values as unreduced (numerator, denominator) arrays, so no Fraction is
 built per term.
+An exact summatory_fast call whose cutoff is below summatory._LOOP_CUTOFF
+sums over d in a Python-int loop, not in chunks.
 Float mode is a double-precision pass over the same chunks of d, building
 no array per chunk: every intermediate is written into three float64 rows
 allocated once per call.  With integer x the fractional parts
@@ -215,39 +217,61 @@ def _float_weights(d: np.ndarray, alpha, row: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power_sum(lo: int, hi: int, m: int) -> int:
-    """sum_{lo <= d <= hi} d^m = (B_{m+1}(hi + 1) - B_{m+1}(lo)) / (m + 1), m >= 0, exactly (0 if lo > hi).
+def _power_sums(lo: int, hi: int, *degrees: int) -> list[int]:
+    """[sum_{lo <= d <= hi} d^m for each m >= 0 of degrees], exactly (0 if lo > hi).
 
-    B_{m+1} is evaluated by Horner's rule on Python ints with the cached
-    integer-scaled coefficients, so the cost does not grow with the range.
-    From bernoulli.MAX_DEGREE on the coefficients would cost more than the
-    terms (their recurrence grows faster than quadratically in the degree),
-    so d^m is summed directly, refused past _EXACT_TERMS_LIMIT terms.
+    Below bernoulli.MAX_DEGREE it is (B_{m+1}(hi + 1) - B_{m+1}(lo)) / (m + 1),
+    B_{m+1} by Horner's rule on Python ints with the cached integer-scaled
+    coefficients, so the cost does not grow with the range.  From MAX_DEGREE
+    on the coefficients would cost more than the terms (their recurrence grows
+    faster than quadratically in the degree), so d^m is summed directly, for
+    all such degrees in one pass over d: d^m at the lowest, each higher one
+    from the one below times a small power of d.  The pass is refused before
+    it runs past _EXACT_TERMS_LIMIT terms.
     """
     if lo > hi:
-        return 0
-    if m == 0:
-        return hi - lo + 1
-    if m >= MAX_DEGREE:
-        if hi - lo + 1 > _EXACT_TERMS_LIMIT:
-            raise ValueError(f"{hi - lo + 1} terms of degree {m} exceed the work budget of {_EXACT_TERMS_LIMIT}")
-        return sum(d**m for d in range(lo, hi + 1))
-    den_c, c = _scaled_coefficients(m + 1)
-    top, bottom, end = 0, 0, hi + 1
-    for ck in reversed(c):
-        top = top * end + ck
-        bottom = bottom * lo + ck
-    return (top - bottom) // (den_c * (m + 1))
+        return [0] * len(degrees)
+    sums, looped = [], False
+    for m in degrees:
+        if m >= MAX_DEGREE:
+            looped = True
+            sums.append(0)
+        elif m:
+            den_c, c = _scaled_coefficients(m + 1)
+            top, bottom, end = 0, 0, hi + 1
+            # c by index, not reversed(c): every exact summatory_fast call runs
+            # this, and with one GC-tracked object fewer at its peak a gen0
+            # collection no longer fell inside one call in 700 (BENCH_31.json)
+            for k in range(m + 1, -1, -1):
+                top = top * end + c[k]
+                bottom = bottom * lo + c[k]
+            sums.append((top - bottom) // (den_c * (m + 1)))
+        else:
+            sums.append(hi - lo + 1)
+    if not looped:
+        return sums
+    if hi - lo + 1 > _EXACT_TERMS_LIMIT:
+        raise ValueError(f"{hi - lo + 1} terms of degree {max(degrees)} exceed the work budget of {_EXACT_TERMS_LIMIT}")
+    head, *rest = high = sorted({m for m in degrees if m >= MAX_DEGREE})
+    steps = [(m, m - k) for k, m in zip(high, rest)]
+    high_sums = dict.fromkeys(high, 0)
+    for d in range(lo, hi + 1):
+        p = d**head
+        high_sums[head] += p
+        for m, step in steps:
+            p *= d**step
+            high_sums[m] += p
+    return [high_sums.get(m, s) for m, s in zip(degrees, sums)]
 
 
 def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
     """sum_{lo <= d <= hi} d^alpha B_j({x/d}) in exact arithmetic.
 
-    At j = 0 and alpha >= 0 it is the int _power_sum.  Every other sum runs
-    within the work budget, as _exact_sum of _range_chunks.
+    At j = 0 and alpha >= 0 it is the int of _power_sums.  Every other sum
+    runs within the work budget, as _exact_sum of _range_chunks.
     """
     if j == 0 and alpha >= 0:
-        return _power_sum(lo, hi, alpha)
+        return _power_sums(lo, hi, alpha)[0]
     e, lift = max(j - alpha, 0), max(alpha - j, 0)
     if (hi - lo + 1) * max(e, 1) > _EXACT_TERMS_LIMIT:
         raise ValueError(

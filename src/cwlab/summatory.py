@@ -26,16 +26,23 @@ summatory_fast sums over d in the chunks of cw_sums._d_chunks: int64 where
 _fast_sum_bound proves no sum can wrap, else object arrays.  Below x = 2^53
 the floor quotients come from cw_sums._quotient, exact there, and
 x mod d = x - d*floor(x/d); from 2^53 on they are integer divisions.  The
-power sums sum d^m have a closed form in Bernoulli polynomials
-(cw_sums._power_sum), so in integer mode only one sum runs over the
-chunks.  At alpha = 0 it is sum floor(x/d).  At alpha >= 1,
-d^alpha floor(x/d) = d^(alpha-1) (x - (x mod d)) gives
+power sums sum d^m have a closed form in Bernoulli polynomials, and past
+its degree cap one pass over d serves every degree (cw_sums._power_sums),
+so in integer mode only one sum runs over the chunks.  At alpha = 0 it is
+sum floor(x/d).  At alpha >= 1, d^alpha floor(x/d) = d^(alpha-1) (x - (x mod d))
+gives
 
     sum d^alpha floor(x/d) = x * sum d^(alpha-1) - sum d^(alpha-1) (x mod d),
 
 and every term of the last sum is below d^alpha <= D^alpha whatever x is,
 so its chunks stay int64 up to D^alpha * 2^14 < 2^63: at alpha = 1 always,
 at alpha = 2 up to D of about 2.37e7.
+An exact call whose cutoff is below _LOOP_CUTOFF sums that one sum in a
+plain for loop on Python ints instead, the same integer terms, so the same
+result: there numpy's fixed cost per call (a row, a few ufunc calls and a
+sum, about 6 us) exceeds a few dozen integer divisions, and the oracle
+sweeps make thousands of such calls.  The loop allocates no GC-tracked
+object.  Float mode always runs the chunks, whose rounding its outputs pin.
 
 Below x = 2^53, exact alpha 0 and 1 and float mode take d as float64
 chunks, exact alpha 0 and 1 sum each chunk in float64, and every
@@ -71,6 +78,13 @@ from .divisors import (DivisorSpec, _lane_dtype, _sieve_into, float64_guarded, i
 
 BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
+# smallest cutoff at which exact summatory_fast runs the numpy chunks; below it
+# a Python-int loop is faster.  Loop time over chunk time of whole exact calls
+# at a = 2, alpha 0 / 1 / 2 / 3, medians of interleaved alternations in one
+# process (2-vCPU x86-64): cutoff 16 0.44 / 0.45 / 0.40 / 0.41x (15), 96
+# 0.82 / 0.68 / 1.00 / 1.07x, 104 0.88 / 0.72 / 1.05 / 1.14x and 128
+# 1.00 / 0.79 / 1.21 / 1.29x (21 each; BENCH_31.json "crossover")
+_LOOP_CUTOFF = 100
 
 
 @dataclass
@@ -141,32 +155,51 @@ def summatory_fast(x: int, spec: DivisorSpec) -> SummatoryBreakdown:
     a, alpha = spec.a, spec.alpha
     cut = integer_root(x, a) if x >= 1 else 0
     if spec.exact:
-        s_lower = cw_sums._power_sum(1, cut, alpha - 1) if alpha else None
-        s_pow, s_alpha = cw_sums._power_sum(1, cut, alpha + a - 1), cw_sums._power_sum(1, cut, alpha)
+        if alpha:
+            s_lower, s_pow, s_alpha = cw_sums._power_sums(1, cut, alpha - 1, alpha + a - 1, alpha)
+        else:
+            s_lower, (s_pow, s_alpha) = None, cw_sums._power_sums(1, cut, a - 1, 0)
         s = 0  # sum floor(x/d) at alpha = 0, else sum d^(alpha-1) * (x mod d)
-        # below 2**53 the quotients go to one row, and at alpha 0 and 1 d is
-        # float and, at alpha = 1, so are the chunk sums (module docstring)
-        q_row = np.empty(min(cut, cw_sums._FAST_CHUNK)) if x < 2**53 else None
-        for d in cw_sums._d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
-            if x < 2**53 and d.dtype != object:
-                t = cw_sums._quotient(x, d, out=q_row[: len(d)])
-                if not alpha:
-                    v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
-                    s += int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
-                    continue
-                if alpha > 1:
-                    t = t.astype(np.int64)
-                t *= d
-                np.subtract(x, t, out=t)
-            else:
-                t = cw_sums._mod(x, d) if alpha else x // d
-            if alpha > 1:
-                t *= d if alpha == 2 else d ** (alpha - 1)
-            s += int(t.sum())
+        if cut >= _LOOP_CUTOFF:
+            s = _chunk_sum(x, alpha, cut)
+        elif not alpha:  # plain loops on Python ints below _LOOP_CUTOFF (module docstring)
+            for d in range(1, cut + 1):
+                s += x // d
+        elif alpha == 1:
+            for d in range(1, cut + 1):
+                s += x % d
+        else:
+            for d in range(1, cut + 1):
+                s += d ** (alpha - 1) * (x % d)
         s_floor = x * s_lower - s if alpha else s
         return SummatoryBreakdown(x, spec, s_floor - s_pow + s_alpha, cut, s_floor, s_pow, s_alpha, s_lower)
     total, s_floor, s_pow, s_alpha = float64_guarded(alpha, x, _float_sums, x, a, alpha, cut)
     return SummatoryBreakdown(x, spec, total, cut, s_floor, s_pow, s_alpha)
+
+
+def _chunk_sum(x: int, alpha: int, cut: int) -> int:
+    """Exact sum over d <= cut of floor(x/d) at alpha = 0, else of d^(alpha-1) * (x mod d), on _d_chunks."""
+    s = 0
+    # below 2**53 the quotients go to one row, and at alpha 0 and 1 d is
+    # float and, at alpha = 1, so are the chunk sums (module docstring)
+    q_row = np.empty(min(cut, cw_sums._FAST_CHUNK)) if x < 2**53 else None
+    for d in cw_sums._d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
+        if x < 2**53 and d.dtype != object:
+            t = cw_sums._quotient(x, d, out=q_row[: len(d)])
+            if not alpha:
+                v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
+                s += int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
+                continue
+            if alpha > 1:
+                t = t.astype(np.int64)
+            t *= d
+            np.subtract(x, t, out=t)
+        else:
+            t = cw_sums._mod(x, d) if alpha else x // d
+        if alpha > 1:
+            t *= d if alpha == 2 else d ** (alpha - 1)
+        s += int(t.sum())
+    return s
 
 
 def _float_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, float, float]:

@@ -17,7 +17,7 @@ from cwlab.cw_sums import (
     GSumSpec,
     _exact_range_sum,
     _horner_bound,
-    _power_sum,
+    _power_sums,
     block_g,
     g_sum,
     gsum_cutoff,
@@ -388,7 +388,7 @@ def test_exact_work_budget():
 
 
 def test_j0_power_sums_take_the_closed_form(monkeypatch):
-    # G_{a,m,0} for m >= 0 is cw_sums._power_sum at any cutoff: Faulhaber at n = 10**15
+    # G_{a,m,0} for m >= 0 is cw_sums._power_sums at any cutoff: Faulhaber at n = 10**15
     n = 10**15
     faulhaber = (n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, (n * (n + 1) // 2) ** 2)
     for m, want in enumerate(faulhaber):
@@ -400,19 +400,19 @@ def test_j0_power_sums_take_the_closed_form(monkeypatch):
         for n_start in (1, 300, 600, 999, 1000, 5000):
             want = sum(d**m for d in range(n_start + 1, min(2 * n_start, 1000) + 1))
             assert same(block_g(n_start, spec), want), (m, n_start)
-    # _power_sum over any range, empty ones included, equals a loop on both sides
+    # _power_sums over any range, empty ones included, equals a loop on both sides
     # of MAX_DEGREE, where the closed form gives way to summing the terms
     for m in (0, 1, 2, MAX_DEGREE - 1, MAX_DEGREE, MAX_DEGREE + 6):
         for lo in (1, 2, 300, 999, 1000, 1001):
             for hi in (lo - 2, lo - 1, lo, 1000):
-                assert same(_power_sum(lo, hi, m), sum(d**m for d in range(lo, hi + 1))), (m, lo, hi)
+                assert same(*_power_sums(lo, hi, m), sum(d**m for d in range(lo, hi + 1))), (m, lo, hi)
     # at the budget edge past MAX_DEGREE, from d = 3: 2**20 terms run (checked
     # modulo the Mersenne prime 2**61 - 1) and 2**20 + 1 terms are refused
     n, lo, p = _EXACT_TERMS_LIMIT, 3, 2**61 - 1
-    got = _power_sum(lo, lo + n - 1, MAX_DEGREE)
+    (got,) = _power_sums(lo, lo + n - 1, MAX_DEGREE)
     assert type(got) is int and got % p == sum(pow(d, MAX_DEGREE, p) for d in range(lo, lo + n)) % p
     with pytest.raises(ValueError, match="work budget"):
-        _power_sum(lo, lo + n, MAX_DEGREE)
+        _power_sums(lo, lo + n, MAX_DEGREE)
     # past MAX_DEGREE a block sums its own terms only: one term past d = 2**20 runs,
     # and an empty block there is 0
     assert same(block_g(n, GSumSpec(2, MAX_DEGREE, 0, (n + 1) ** 2)), (n + 1) ** MAX_DEGREE)

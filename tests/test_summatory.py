@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwlab import cw_sums, invariants
+from cwlab.bernoulli import MAX_DEGREE
 from cwlab import summatory as s
 from cwlab.cw_sums import _FAST_CHUNK, _FAST_CUTOFF_LIMIT, _d_chunks, _fraction_sum, _quotient
 from cwlab.divisors import (DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table, square_table,
@@ -625,8 +627,8 @@ def test_breakdown_keeps_power_sum(monkeypatch):
     # summatory_fast built; past bernoulli.MAX_DEGREE a second sum would be
     # another term-by-term pass over d
     passes = []
-    power_sum = cw_sums._power_sum
-    monkeypatch.setattr(cw_sums, "_power_sum", lambda lo, hi, m: passes.append(m) or power_sum(lo, hi, m))
+    power_sums = cw_sums._power_sums
+    monkeypatch.setattr(cw_sums, "_power_sums", lambda lo, hi, *ms: passes.append(ms) or power_sums(lo, hi, *ms))
     x = 10**6 + 3
     for alpha in (1, 2, 70):
         b = summatory_fast(x, DivisorSpec(2, alpha))
@@ -635,6 +637,74 @@ def test_breakdown_keeps_power_sum(monkeypatch):
         assert b.term_main == x * lower
         assert b.term_psi == -x * lower + b._s_floor + Fraction(b._s_alpha, 2)
         assert passes == [], alpha
+
+
+def _all_fields(b):
+    return [getattr(b, f.name) for f in dataclasses.fields(b)]
+
+
+@pytest.mark.parametrize("a", (2, 3, 4))
+def test_small_cutoff_loop(monkeypatch, a):
+    # below s._LOOP_CUTOFF exact summatory_fast sums its one d-dependent sum in
+    # a Python-int loop and builds no chunk; every field equals the term loop
+    # and the numpy chunk path (the constant patched to 0), on both sides of it
+    c = s._LOOP_CUTOFF
+    xs = [0, 1] + [x for k in (c - 1, c, c + 1) for x in (k**a - 1, k**a, (k + 1) ** a - 1)]
+    built = []
+    chunks = cw_sums._d_chunks
+
+    def recording(*args, **kwargs):
+        built.append(args[:2])
+        return chunks(*args, **kwargs)
+
+    monkeypatch.setattr(cw_sums, "_d_chunks", recording)
+    for alpha in (0, 1, 2, 3, 64, 70):
+        spec = DivisorSpec(a, alpha)
+        for x in xs:
+            cut = integer_root(x, a) if x else 0
+            built.clear()
+            b = summatory_fast(x, spec)
+            assert built == ([(1, cut)] if cut >= c else []), (alpha, x)
+            assert fast_fields(x, spec) == loop_reference(x, spec), (alpha, x)
+            assert b._s_lower == (sum(d ** (alpha - 1) for d in range(1, cut + 1)) if alpha else None)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(s, "_LOOP_CUTOFF", 0)
+                assert _all_fields(summatory_fast(x, spec)) == _all_fields(b), (alpha, x)
+            if cut < c:
+                assert sum(b.terms()) == b.total, (alpha, x)
+
+
+@pytest.mark.parametrize("a", (2, 3))
+def test_high_degree_power_sums_one_pass(monkeypatch, a):
+    # the degrees alpha - 1, alpha and alpha + a - 1 at or past
+    # bernoulli.MAX_DEGREE are summed in one pass over d = 1..cutoff, the
+    # rest by the closed form; past 2**20 terms the pass is refused before
+    # it or any chunk runs
+    passes = []  # the ranges d = lo..hi of cw_sums; _d_chunks and Horner's rule step theirs
+
+    def recording(*args):
+        if len(args) == 2:
+            passes.append(args)
+        return range(*args)
+
+    monkeypatch.setattr(cw_sums, "range", recording, raising=False)
+    for alpha in (62, 63, 64, 65, 70):
+        spec = DivisorSpec(a, alpha)
+        for x in (3**a - 1, 10**4 + 1, 2000**a + 7):
+            passes.clear()
+            assert fast_fields(x, spec) == loop_reference(x, spec), (alpha, x)
+            cut = integer_root(x, a)
+            assert passes == ([] if alpha + a - 1 < MAX_DEGREE else [(1, cut + 1)]), (alpha, x)
+
+    def no_chunks(*args, **kwargs):
+        raise AssertionError("a chunk was built")
+
+    monkeypatch.setattr(cw_sums, "_d_chunks", no_chunks)
+    for alpha in (63, 64, 65, 70):
+        passes.clear()
+        with pytest.raises(ValueError, match="work budget"):
+            summatory_fast((2**20 + 1) ** a, DivisorSpec(a, alpha))
+        assert passes == []
 
 
 def test_tiny_call_memory():
