@@ -110,12 +110,13 @@ def _normalize_terms(raw: list[Term]) -> tuple[Term, ...]:
 
 def _number(alpha):
     """alpha as a Fraction (int or Fraction alpha) or a float; it must be
-    finite and >= 0."""
-    if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        alpha = Fraction(alpha)
-    else:
-        alpha = float(alpha)
+    finite and >= 0, and a bool or any other type is refused."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction, float)):
+        raise ValueError(f"alpha must be an int, Fraction or float, got {alpha!r}")
+    if isinstance(alpha, float):
         require_finite(alpha=alpha)
+    else:
+        alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     return alpha

@@ -1,4 +1,4 @@
-"""Chowla-Walum sums G_{a,alpha,j}(x), their dyadic block pieces, and the d-range kernels under them.
+"""Chowla-Walum sums G_{a,alpha,j}(x), their dyadic block pieces, and every sum over a range of d.
 
     G_{a,alpha,j}(x) = sum_{d <= x^(1/a)} d^alpha * B_j({x/d})
 
@@ -6,28 +6,49 @@ with B_j the periodic Bernoulli functions (B_0 = 1, B_1 = psi).  a = 2
 recovers the classical sums whose cancellation behaviour the Chowla-Walum
 conjecture quantifies; j = 0 additionally admits negative alpha.
 
-Every sum over a range of d, here and in summatory_fast, runs the chunks
-of _d_chunks within one work budget in terms, with x // d and x mod d from
-_quotient and _mod and float weights d^alpha from _float_weights.  Exact
-mode (integer x, integer alpha) takes the power sums (j = 0, alpha >= 0)
-from _power_sums and splits every other term at its remainder r = x mod d
-into an integer part, summed over numpy chunks in int64 where a bound
-proves it safe, and a proper fraction s/d^e.  Every exact sum is one
-reducer, _exact_sum, over a generator of (whole, s, d) per chunk: the
-fractions of each chunk go to the pairwise tree _fraction_sum, one more
-tree sums the chunk sums, and one Fraction is built at the end, so
-cancellation-prone values are never touched by rounding.  Exact shifted
-psi block sums feed the same reducer: per chunk of n, one bernoulli.psi
-call on int64 remainders of 16x modulo 4(4n + a') gives the exact psi
-values as unreduced (numerator, denominator) arrays, so no Fraction is
-built per term.
-An exact summatory_fast call whose cutoff is below summatory._LOOP_CUTOFF
-sums over d in a Python-int loop, not in chunks.
-Float mode is a double-precision pass over the same chunks of d, building
-no array per chunk: every intermediate is written into three float64 rows
-allocated once per call.  With integer x the fractional parts
-{x/d} = r/d come from the exact remainder r = x mod d, which keeps the
-sawtooth accurate even when x/d is far above 2^53 * ulp territory.
+This module owns every chunked sum over a range of d: G and its blocks
+through _range_sum (exact at integer x and integer alpha, the
+GSumSpec.exact rule, else float), and summatory_fast's kernels _floor_sum
+(exact; below summatory._LOOP_CUTOFF it loops on Python ints instead)
+and _float_floor_sums.  They share these chunk rules.
+
+- Chunks: _d_chunks runs d = lo..hi in chunks of at most 2^14 within one
+  work budget in terms, int64 where the caller's bound on its terms and
+  their sum (_horner_bound, _fast_sum_bound) is below 2^63, else Python-int
+  object arrays; below 2^53 a caller may take d as exact read-only float64.
+- Quotients: below x = 2^53, x // d is a float division and floor
+  (_quotient has the proof), and _remainder gives x mod d as
+  x - d * floor(x/d), exact too (a d past x has quotient 0).  From 2^53
+  on they are integer divisions in the chunk's dtype (_mod), from 2^63 on
+  by 32-bit limbs of x in int64 while d < 2^31 (every d of summatory_fast),
+  else on Python ints, since r < d fits where x does not.  _range_chunks
+  and _psi_chunks take _mod at every x: on their mostly small blocks int64
+  x % d costs less than the float remainder and its cast.
+- Rows: a call allocates its float64 rows of min(hi - lo + 1, 2^14)
+  entries once and writes every step into them, so no chunk allocates an
+  array; the float weights d^alpha come from _float_weights, in a row.
+- Exact float sums: exact summatory_fast at alpha 0 and 1 takes float d and
+  sums each chunk in float64.  At alpha = 1 every x mod d is below
+  d < 2^27, so a chunk sums exactly below 2^41.  At alpha = 0 a float sum of
+  nonnegative integers, in any order, rounds only where a partial sum
+  reaches 2^53, and rounding is monotone and 2^53 a float, so every later
+  partial sum stays at or above 2^53: a float total below 2^53 is exact,
+  and past it the quotients are summed again in int64 (_fast_sum_bound).
+
+Exact G takes the power sums (j = 0, alpha >= 0) from _power_sums and
+splits every other term at its remainder r = x mod d into an integer
+part, summed over numpy chunks in int64 where a bound proves it safe,
+and a proper fraction s/d^e.  Every exact sum is one reducer, _exact_sum,
+over a generator of (whole, s, d) per chunk: the fractions of each chunk
+go to the pairwise tree _fraction_sum, one more tree sums the chunk sums,
+and one Fraction is built at the end, so cancellation-prone values are
+never touched by rounding.  Exact shifted psi block sums feed the same
+reducer: per chunk of n, one bernoulli.psi call on int64 remainders of
+16x modulo 4(4n + a') gives the exact psi values as unreduced
+(numerator, denominator) arrays, so no Fraction is built per term.
+Float G is a double-precision pass over the same chunks; with integer x
+its fractional parts {x/d} = r/d come from the exact remainder, which
+keeps the sawtooth accurate even where x/d is far above 2^53 * ulp.
 
 The cutoff D = floor(x^(1/a)) is decided exactly for integer a and for
 a = p/q, a Fraction or a float with q <= 16, as D**p <= floor(x**q); any
@@ -42,10 +63,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .bernoulli import MAX_DEGREE, _scaled_coefficients, bernoulli_coefficients, psi
+from . import bernoulli
+from .bernoulli import MAX_DEGREE, bernoulli_coefficients, psi
 from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
 from .divisors import _BASE, float64_guarded, integer_root, require_count, require_finite
 
@@ -99,8 +122,9 @@ class GSumSpec:
     def exact(self) -> bool:
         return isinstance(self.x, int) and isinstance(self.alpha, int)
 
-    @property
+    @cached_property
     def cutoff(self) -> int:
+        """gsum_cutoff(x, a), computed once per spec: g_sum and every block_g read it."""
         return gsum_cutoff(self.x, self.a)
 
 
@@ -137,12 +161,10 @@ def _d_chunks(lo: int, hi: int, sum_bound, *args, as_float: bool = False):
     every integer term the caller sums over it and on their sum, is below 2**63,
     else a Python-int object array.  Callers that sum no integer term over d
     in numpy (float sums, fraction trees on Python ints) pass None.  With
-    as_float, for hi < 2**53, a chunk that would be int64 is a read-only
-    float64 array instead: the slice _BASE[start:end + 1] while end <
-    len(_BASE), past it _BASE[:n] + start written into one row of
-    min(hi - lo + 1, _FAST_CHUNK) entries, allocated once per loop: both
-    addends and the sum are integers below 2**53, so d is exact, with no
-    int64 arange and no cast.
+    as_float, for hi < 2**53, a chunk that would be int64 is read-only
+    float64 instead, with no int64 arange and no cast: _BASE[start:end + 1],
+    or past len(_BASE) _BASE[:n] + start in one row allocated per loop,
+    exact since addends and sum are integers below 2**53.
     """
     if hi - lo + 1 > _FAST_CUTOFF_LIMIT:
         raise ValueError(f"{hi - lo + 1} terms exceed the work budget of {_FAST_CUTOFF_LIMIT} terms")
@@ -185,9 +207,8 @@ def _mod(x: int, d: np.ndarray) -> np.ndarray:
     From x = 2**63 on, an int64 chunk whose d are all below 2**31 reduces x by
     its 32-bit limbs, most significant first, as r = ((r << 32) | limb) % d:
     r < d < 2**31 before each step, so (r << 32) | limb < 2**63 stays in
-    int64.  Every chunk of summatory_fast qualifies, since its range starts at
-    1 and holds at most _FAST_CUTOFF_LIMIT = 10**9 < 2**31 terms.  Object
-    chunks, and int64 chunks of larger d (blocks of G), take Python ints.
+    int64.  Every chunk of summatory_fast qualifies: its range starts at 1
+    and holds at most _FAST_CUTOFF_LIMIT = 10**9 < 2**31 terms.
     """
     if x < 2**63 or d.dtype == object:
         return x % d
@@ -199,6 +220,17 @@ def _mod(x: int, d: np.ndarray) -> np.ndarray:
         r |= (x >> shift) & 0xFFFFFFFF
         r %= d
     return r
+
+
+def _remainder(x: int, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x mod d in d's dtype for a chunk of _d_chunks: below x = 2**53, on a float64 or int64
+    chunk, x - d * _quotient(x, d) with the quotients written into out, else _mod.  A d past x,
+    even past 2**53, rounds to a float above x, so its quotient is 0 and its remainder x."""
+    if x >= 2**53 or d.dtype == object:
+        return _mod(x, d)
+    t = _quotient(x, d, out=out).astype(d.dtype, copy=False)
+    t *= d
+    return np.subtract(x, t, out=t)
 
 
 def _float_weights(d: np.ndarray, alpha, row: np.ndarray) -> np.ndarray:
@@ -237,7 +269,7 @@ def _power_sums(lo: int, hi: int, *degrees: int) -> list[int]:
             looped = True
             sums.append(0)
         elif m:
-            den_c, c = _scaled_coefficients(m + 1)
+            den_c, c = bernoulli._scaled_coefficients(m + 1)
             top, bottom, end = 0, 0, hi + 1
             # c by index, not reversed(c): every exact summatory_fast call runs
             # this, and with one GC-tracked object fewer at its peak a gen0
@@ -277,7 +309,7 @@ def _exact_range_sum(x: int, alpha: int, j: int, lo: int, hi: int):
         raise ValueError(
             f"{hi - lo + 1} exact terms of degree {e} exceed the work budget of {_EXACT_TERMS_LIMIT}"
         )
-    den_c, c = _scaled_coefficients(j)
+    den_c, c = bernoulli._scaled_coefficients(j)
     return _exact_sum(_range_chunks(x, j, lo, hi, c, e, lift, max(j, abs(alpha))), e, den_c)
 
 
@@ -403,8 +435,11 @@ def _horner_bound(lo: int, hi: int, weight: int, power: int) -> int:
     return weight * hi**power * (hi - lo + 1)
 
 
-def _float_range_sum(x, alpha, j: int, lo: int, hi: int) -> float:
-    """_float_chunk_sums(x, alpha, j, lo, hi), refused past float64 (divisors.float64_guarded)."""
+def _range_sum(x, alpha, j: int, lo: int, hi: int):
+    """sum_{lo <= d <= hi} d^alpha B_j({x/d}): _exact_range_sum at integer x and alpha (the
+    GSumSpec.exact rule), else _float_chunk_sums, refused past float64 (divisors.float64_guarded)."""
+    if isinstance(x, int) and isinstance(alpha, int):
+        return _exact_range_sum(x, alpha, j, lo, hi)
     return float64_guarded(alpha, hi, _float_chunk_sums, x, alpha, j, lo, hi)
 
 
@@ -412,15 +447,12 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
     """Double-precision sum over lo <= d <= hi: one numpy sum of
     B_j({x/d}) * d**alpha per chunk, the chunk sums added in order.
 
-    Every step writes into float64 rows of min(hi - lo + 1, 2^14) entries,
-    allocated once per call: {x/d}, B_j({x/d}) (then times d**alpha) and
-    the weights d**alpha of _float_weights.  d comes as float64 from
-    _d_chunks below d = 2^53, and with integer x below 2^53, else as int64.
-    With integer x, {x/d} = r/d for r = x - d * _quotient(x, d) on float
-    chunks, else r = _mod(x, d).  B_j runs by Horner's rule in place, the
-    multiplies and adds of np.polyval in its order; B_j is monic, so its
-    first step 1.0 * t + c_1 is t + c_1.  The power is skipped at alpha = 0 and 1,
-    where pow(d, alpha) is exactly 1 and d."""
+    Its rows (module docstring) hold {x/d}, B_j({x/d}) (then times d**alpha)
+    and the weights; d is float64 below 2^53 (and integer x below 2^53).
+    With integer x, {x/d} = _remainder(x, d) / d.  B_j runs by Horner's rule
+    in place, the multiplies and adds of np.polyval in its order; B_j is
+    monic, so its first step 1.0 * t + c_1 is t + c_1.  The power is skipped
+    at alpha = 0 and 1, where pow(d, alpha) is exactly 1 and d."""
     coeffs = [float(c) for c in reversed(bernoulli_coefficients(j))]
     exact_x = isinstance(x, int)
     as_float = hi < 2**53 and not (exact_x and x >= 2**53)
@@ -431,16 +463,11 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
         n = len(d)
         frac, b = frac_row[:n], b_row[:n]  # {x/d}, then B_j({x/d}) and times d**alpha
         if j:
-            if not exact_x:
+            if exact_x:
+                np.divide(_remainder(x, d, frac), d, out=frac)
+            else:
                 np.divide(float(x), d, out=frac)
                 np.modf(frac, out=(frac, b))
-            elif as_float:
-                _quotient(x, d, out=frac)
-                frac *= d
-                np.subtract(x, frac, out=frac)
-                frac /= d
-            else:
-                np.divide(_mod(x, d), d, out=frac)
             np.add(frac, coeffs[1], out=b)
             for c in coeffs[2:]:
                 b *= frac
@@ -455,6 +482,69 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
     return total
 
 
+def _floor_sum(x: int, alpha: int, cut: int) -> int:
+    """Exact sum over d <= cut of floor(x/d) at alpha = 0, else of d^(alpha-1) * (x mod d):
+    the one sum over d of exact summatory_fast (module docstring)."""
+    s = 0
+    row = np.empty(min(cut, _FAST_CHUNK))
+    for d in _d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
+        if alpha:
+            t = _remainder(x, d, row[: len(d)])
+            if alpha > 1:
+                t *= d if alpha == 2 else d ** (alpha - 1)
+        elif x < 2**53:  # float chunks: _fast_sum_bound is below 2**53 * 30 < 2**63
+            t = _quotient(x, d, out=row[: len(d)])
+            v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
+            s += int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
+            continue
+        else:
+            t = x // d
+        s += int(t.sum())
+    return s
+
+
+def _float_floor_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, float, float]:
+    """Float summatory_fast over d <= cut: the total, sum floor(x/d) d^alpha, sum d^(alpha+a-1), sum d^alpha."""
+    s_floor = s_pow = s_alpha = 0.0
+    as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
+    n = min(cut, _FAST_CHUNK)
+    q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
+    for d in _d_chunks(1, cut, None, as_float=as_float):
+        n = len(d)
+        q, p = q_row[:n], p_row[:n]  # floor(x/d) and d^(a-1), then times d^alpha
+        if as_float:
+            _quotient(x, d, out=q)
+            np.copyto(p, d)
+            for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
+                p *= d
+        else:
+            np.copyto(q, x // d)
+            np.copyto(p, d if a == 2 else d ** (a - 1))
+        if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
+            s_alpha += n
+        else:
+            w = _float_weights(d, alpha, w_row)
+            p *= w
+            q *= w
+            s_alpha += float(w.sum())
+        s_pow += float(p.sum())
+        s_floor += float(q.sum())
+    return s_floor - s_pow + s_alpha, s_floor, s_pow, s_alpha
+
+
+def _fast_sum_bound(lo: int, hi: int, x: int, alpha: int) -> int:
+    # alpha >= 1: 0 <= x mod d < d, so d^(alpha-1) * (x mod d) < d^alpha <= hi^alpha,
+    # and its factors are below that too, whatever x is (_mod brings x mod d
+    # into int64 from x >= 2**63).  alpha = 0: floor(x/d) <= x/d, and the
+    # k-th of the (hi // lo).bit_length() dyadic pieces lo*2^k <= d < lo*2^(k+1),
+    # which cover lo..hi, has at most lo*2^k terms of at most x/(lo*2^k), so
+    # sums to at most x; x // d needs x itself in int64, and at x >= 2**63 the
+    # bound is past 2**63 too
+    if alpha >= 1:
+        return hi**alpha * (hi - lo + 1)
+    return x * (hi // lo).bit_length()
+
+
 def g_sum(spec: GSumSpec):
     """G_{a,alpha,j}(x).  Exact rational in exact mode, float otherwise.
 
@@ -462,12 +552,9 @@ def g_sum(spec: GSumSpec):
     range sum over 1..cutoff, within the work budget of _exact_range_sum;
     the d = 1 head term plus the dyadic blocks of block_g reassemble it.
     """
-    cut = spec.cutoff
-    if cut == 0:
+    if spec.cutoff == 0:
         return Fraction(0) if spec.exact else 0.0
-    if not spec.exact:
-        return _float_range_sum(spec.x, spec.alpha, spec.j, 1, cut)
-    return _exact_range_sum(spec.x, spec.alpha, spec.j, 1, cut)
+    return _range_sum(spec.x, spec.alpha, spec.j, 1, spec.cutoff)
 
 
 def block_g(n_start: int, spec: GSumSpec):
@@ -477,11 +564,7 @@ def block_g(n_start: int, spec: GSumSpec):
     reassembles g_sum exactly in exact mode.
     """
     require_count("block start", n_start, 1)
-    cut = spec.cutoff
-    lo, hi = n_start + 1, min(2 * n_start, cut)
-    if spec.exact:
-        return _exact_range_sum(spec.x, spec.alpha, spec.j, lo, hi)
-    return _float_range_sum(spec.x, spec.alpha, spec.j, lo, hi)
+    return _range_sum(spec.x, spec.alpha, spec.j, n_start + 1, min(2 * n_start, spec.cutoff))
 
 
 def _psi_chunks(n_start: int, x: int, shift_a: int, shift_b: int):

@@ -169,8 +169,7 @@ def _divisors(n: int) -> list[int]:
     and the divisors up to isqrt(n) are the 2**i t <= isqrt(n) with i <= k.
     Either way the cofactors n // d follow in reverse.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_count("n", n, 1)
     r = isqrt(n)
     if r > _TRIAL_DIVISION_LIMIT:
         raise ValueError(f"sqrt(n) exceeds the work budget of {_TRIAL_DIVISION_LIMIT} trial divisions")

@@ -96,6 +96,17 @@ def test_restricted_model_is_both_builders():
             restricted_model(1, a)
 
 
+@pytest.mark.parametrize("bad", (True, False, "1", None, 1j))
+def test_alpha_takes_numbers_only(bad):
+    # alpha is an int, Fraction or float, as DivisorSpec takes it (bar Fraction):
+    # a bool is not read as 0 or 1, nor a string as a float
+    with pytest.raises(ValueError, match="alpha must be"):
+        restricted_model(bad)
+    with pytest.raises(ValueError, match="alpha must be"):
+        error_exponent(bad)
+    assert error_exponent(Fraction(1, 2)) == Fraction(1, 4) + Fraction(517, 1648)
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_restricted_model_rejects_non_finite(bad):
     for a in (2, 3):

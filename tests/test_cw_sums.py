@@ -265,6 +265,21 @@ def test_cutoff_float_a_at_any_size_of_x():
                 assert mpf(d) ** mpf(a) <= x < mpf(d + 1) ** mpf(a), (x, a)
 
 
+@pytest.mark.parametrize("a, alpha, x", [(2.7, 1.0, 10**6), (Fraction(6, 5), 1, 10**6), (2, 0, 10**6 + 3)])
+def test_cutoff_computed_once_per_spec(monkeypatch, a, alpha, x):
+    # g_sum and ten block_g calls on one spec make one gsum_cutoff call; the
+    # cached value leaves the fields, equality, hash and repr as they were
+    calls = []
+    monkeypatch.setattr(cw_sums, "gsum_cutoff", lambda *args: calls.append(args) or gsum_cutoff(*args))
+    spec = GSumSpec(a, alpha, 1, x)
+    want = (hash(spec), repr(spec))
+    g_sum(spec)
+    for k in range(10):
+        block_g(2**k, spec)
+    assert calls == [(x, a)] and spec.cutoff == gsum_cutoff(x, a)
+    assert spec == GSumSpec(a, alpha, 1, x) and (hash(spec), repr(spec)) == want
+
+
 def test_shifted_psi_block_float_mode():
     e = shifted_psi_block_sum(3, 16, 0, -1)
     f = shifted_psi_block_sum(3, 16.0, 0, -1)

@@ -231,6 +231,17 @@ def test_divisors_work_budget():
                 fn(n)
 
 
+@pytest.mark.parametrize("n", (np.int64(10**12), np.int64(12), 10.0, True, False, 0, -4))
+def test_per_n_functions_take_int_n_only(n):
+    # one check in _divisors covers every per-n function: a numpy int, a
+    # float and a bool are refused like 0, not misread as a count
+    calls = (tau, lambda n: sigma_alpha(n, 1), lambda n: divisor_sum_restricted(n, DivisorSpec(2, 0)),
+             tau_tilde_via_identity)
+    for fn in calls:
+        with pytest.raises(ValueError, match="^n must be"):
+            fn(n)
+
+
 def _loop_divisors(n):
     # the enumerator before its int64 chunks: one Python trial division per d
     out = []
@@ -446,9 +457,7 @@ def test_sieve_tiers_match_one_pass(monkeypatch, a, alpha):
             got = _sieve_callers(limit, spec)
             with monkeypatch.context() as m:
                 m.setattr(divisors, "_sieve_into", _one_pass_sieve_into)
-                m.setattr(summatory, "_sieve_into", _one_pass_sieve_into)
                 m.setattr(divisors, "_lane_dtype", _no_lanes)
-                m.setattr(summatory, "_lane_dtype", _no_lanes)
                 want = _sieve_callers(limit, spec)
             assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), (limit, block)
             assert got[2] == want[2] and type(got[2]) is type(want[2]), (limit, block)

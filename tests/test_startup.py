@@ -75,6 +75,35 @@ def test_only_float64_guarded_decides_float_overflow():
     assert found == guard, sorted(found - guard)
 
 
+def test_chunk_rules_stay_in_cw_sums():
+    # the helpers that decide how x is divided by a chunk of d are named in
+    # cw_sums alone, and no module binds another's private function by
+    # `from .m import _f`, which a patch of m._f would not reach
+    package = Path(cwlab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    functions = {name: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+                 for name, tree in trees.items()}
+    chunk_rules = {"_d_chunks", "_quotient", "_mod", "_float_weights", "_FAST_CHUNK"}
+    outside, bound = set(), set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.alias):
+                used = {node.name, node.asname}
+            else:
+                used = set()
+            if name != "cw_sums":
+                outside |= {(name, ref) for ref in used & chunk_rules}
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in functions:
+                bound |= {(name, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and alias.name in functions[node.module]}
+    assert not outside, sorted(outside)
+    assert not bound, sorted(bound)
+
+
 def test_import_cwlab_leaves_mpmath_out():
     proc = _python("-c", "import sys, cwlab; print('mpmath' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

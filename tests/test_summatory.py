@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from cwlab import cw_sums, invariants
 from cwlab.bernoulli import MAX_DEGREE
 from cwlab import summatory as s
-from cwlab.cw_sums import _FAST_CHUNK, _FAST_CUTOFF_LIMIT, _d_chunks, _fraction_sum, _quotient
+from cwlab.cw_sums import _FAST_CHUNK, _FAST_CUTOFF_LIMIT, _d_chunks, _fast_sum_bound, _fraction_sum, _quotient
 from cwlab.divisors import (DivisorSpec, divisor_sum_restricted, integer_root, restricted_sigma_table, square_table,
                             tau_table)
 from cwlab.invariants import SPECS
 from cwlab.summatory import (
     BRUTEFORCE_LIMIT,
-    _fast_sum_bound,
     summatory_bruteforce,
     summatory_bruteforce_table,
     summatory_fast,
