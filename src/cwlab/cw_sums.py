@@ -16,6 +16,14 @@ and _float_floor_sums.  They share these chunk rules.
   work budget in terms, int64 where the caller's bound on its terms and
   their sum (_horner_bound, _fast_sum_bound) is below 2^63, else Python-int
   object arrays; below 2^53 a caller may take d as exact read-only float64.
+- One chunk: in their float regime (x < 2^53, and alpha <= 1 for the
+  exact kernel, where _fast_sum_bound is below 2^63, so every chunk is
+  float64) summatory_fast's kernels take a cutoff of at most 2^14 as one
+  chunk, the slice _BASE[1:cut + 1] (len(_BASE) is 2^14 + 1), with no
+  _d_chunks generator, bound, row or _remainder dispatch: its few ufuncs
+  allocate their arrays (_floor_chunk_sum, _float_floor_chunk_sums).  At
+  cutoffs of 100 to 2,000 those fixed costs, not the terms, set the time.
+  Past it, and in their integer regime, the chunks run as below.
 - Quotients: below x = 2^53, x // d is a float division and floor
   (_quotient has the proof), and _remainder gives x mod d as
   x - d * floor(x/d), exact too (a d past x has quotient 0).  From 2^53
@@ -24,9 +32,10 @@ and _float_floor_sums.  They share these chunk rules.
   else on Python ints, since r < d fits where x does not.  _range_chunks
   and _psi_chunks take _mod at every x: on their mostly small blocks int64
   x % d costs less than the float remainder and its cast.
-- Rows: a call allocates its float64 rows of min(hi - lo + 1, 2^14)
-  entries once and writes every step into them, so no chunk allocates an
-  array; the float weights d^alpha come from _float_weights, in a row.
+- Rows: apart from that one chunk, a call allocates its float64 rows of
+  min(hi - lo + 1, 2^14) entries once and writes every step into them, so
+  no chunk allocates an array; the float weights d^alpha come from
+  _float_weights, in a row.
 - Exact float sums: exact summatory_fast at alpha 0 and 1 takes float d and
   sums each chunk in float64.  At alpha = 1 every x mod d is below
   d < 2^27, so a chunk sums exactly below 2^41.  At alpha = 0 a float sum of
@@ -96,9 +105,9 @@ _INT64_TREE_FLOOR = 128
 class GSumSpec:
     """Parameters of one Chowla-Walum sum.
 
-    a may be an int, Fraction, or float > 1.  j = 0 permits any real alpha;
-    j >= 1 requires alpha >= 0.  Exact mode needs integer x and integer
-    alpha so every B_j({x/d}) is an exact rational.
+    a, alpha and x are ints, Fractions or floats, a > 1.  j = 0 permits any
+    real alpha; j >= 1 requires alpha >= 0.  Exact mode needs integer x and
+    integer alpha so every B_j({x/d}) is an exact rational.
     """
 
     a: int | Fraction | float
@@ -107,9 +116,8 @@ class GSumSpec:
     x: int | float
 
     def __post_init__(self):
+        _require_number(a=self.a, alpha=self.alpha, x=self.x)
         require_finite(a=self.a, alpha=self.alpha, x=self.x)
-        if isinstance(self.alpha, bool) or isinstance(self.x, bool):
-            raise ValueError(f"alpha and x must be ints or floats, got alpha={self.alpha!r}, x={self.x!r}")
         if self.a <= 1:
             raise ValueError(f"restriction root a must exceed 1, got {self.a!r}")
         require_count("Bernoulli index j", self.j, 0)
@@ -128,9 +136,18 @@ class GSumSpec:
         return gsum_cutoff(self.x, self.a)
 
 
+def _require_number(**values) -> None:
+    """Raise ValueError naming the first value that is a bool or not an int, Fraction or float:
+    a numpy int would pass for a number but take float mode, or fail inside mpmath."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
+            raise ValueError(f"{name} must be an int, Fraction or float, got {v!r}")
+
+
 def gsum_cutoff(x, a) -> int:
     """Largest integer D >= 0 with D**a <= x, exact for integer a and for a = p/q, a Fraction
     or a float with q <= 16, as D**p <= floor(x**q) for int and float x (module docstring)."""
+    _require_number(x=x, a=a)
     if x < 0:
         raise ValueError("x must be >= 0")
     if x < 1:
@@ -233,17 +250,21 @@ def _remainder(x: int, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(x, t, out=t)
 
 
-def _float_weights(d: np.ndarray, alpha, row: np.ndarray) -> np.ndarray:
+def _float_weights(d: np.ndarray, alpha, row: np.ndarray | None = None) -> np.ndarray:
     """d**float(alpha) in float64 for a chunk d of _d_chunks, alpha != 0, not to be written.
 
     A float chunk at alpha = 1 is its own weight; otherwise d is copied into
-    row[:len(d)] and raised there with **=, the operator of the float
-    references in the tests, so the weights match theirs bit for bit.
+    row[:len(d)], or a new array if row is None, and raised there with **=,
+    the operator of the float references in the tests, so the weights match
+    theirs bit for bit.
     """
     if alpha == 1 and d.dtype == np.float64:
         return d
-    w = row[: len(d)]
-    np.copyto(w, d)
+    if row is None:
+        w = d.astype(np.float64)
+    else:
+        w = row[: len(d)]
+        np.copyto(w, d)
     if alpha != 1:  # pow(d, 1.0) = d
         w **= float(alpha)
     return w
@@ -485,51 +506,73 @@ def _float_chunk_sums(x, alpha, j: int, lo: int, hi: int) -> float:
 def _floor_sum(x: int, alpha: int, cut: int) -> int:
     """Exact sum over d <= cut of floor(x/d) at alpha = 0, else of d^(alpha-1) * (x mod d):
     the one sum over d of exact summatory_fast (module docstring)."""
+    if x < 2**53 and alpha <= 1:  # the float regime: _fast_sum_bound is below 2**53 * 30 < 2**63
+        if cut <= _FAST_CHUNK:  # one chunk (module docstring)
+            return _floor_chunk_sum(x, alpha, _BASE[1 : cut + 1])
+        row = np.empty(_FAST_CHUNK)
+        return sum(_floor_chunk_sum(x, alpha, d, row[: len(d)]) for d in _d_chunks(1, cut, None, as_float=True))
     s = 0
     row = np.empty(min(cut, _FAST_CHUNK))
-    for d in _d_chunks(1, cut, _fast_sum_bound, x, alpha, as_float=x < 2**53 and alpha <= 1):
+    for d in _d_chunks(1, cut, _fast_sum_bound, x, alpha):
         if alpha:
             t = _remainder(x, d, row[: len(d)])
             if alpha > 1:
                 t *= d if alpha == 2 else d ** (alpha - 1)
-        elif x < 2**53:  # float chunks: _fast_sum_bound is below 2**53 * 30 < 2**63
-            t = _quotient(x, d, out=row[: len(d)])
-            v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
-            s += int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
-            continue
         else:
             t = x // d
         s += int(t.sum())
     return s
 
 
+def _floor_chunk_sum(x: int, alpha: int, d: np.ndarray, out: np.ndarray | None = None) -> int:
+    """_floor_sum over one float chunk d in its float regime, the quotients written into out, or
+    into a new array if None: sum floor(x/d) at alpha = 0, sum x - d * floor(x/d) = x mod d at 1."""
+    t = _quotient(x, d, out=out)
+    if alpha:
+        t *= d
+        np.subtract(x, t, out=t)
+    v = t.sum()  # exact below 2**53, else the int64 sum is (module docstring)
+    return int(v) if v < 2**53 else int(t.sum(dtype=np.int64))
+
+
 def _float_floor_sums(x: int, a: int, alpha: float, cut: int) -> tuple[float, float, float, float]:
     """Float summatory_fast over d <= cut: the total, sum floor(x/d) d^alpha, sum d^(alpha+a-1), sum d^alpha."""
-    s_floor = s_pow = s_alpha = 0.0
-    as_float = x < 2**53  # float d, floor(x/d) and d^(a-1) are exact floats
-    n = min(cut, _FAST_CHUNK)
-    q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
-    for d in _d_chunks(1, cut, None, as_float=as_float):
-        n = len(d)
-        q, p = q_row[:n], p_row[:n]  # floor(x/d) and d^(a-1), then times d^alpha
-        if as_float:
-            _quotient(x, d, out=q)
-            np.copyto(p, d)
-            for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
-                p *= d
-        else:
-            np.copyto(q, x // d)
-            np.copyto(p, d if a == 2 else d ** (a - 1))
-        if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
-            s_alpha += n
-        else:
-            w = _float_weights(d, alpha, w_row)
-            p *= w
-            q *= w
-            s_alpha += float(w.sum())
-        s_pow += float(p.sum())
-        s_floor += float(q.sum())
+    if x < 2**53 and cut <= _FAST_CHUNK:  # one chunk (module docstring)
+        s_floor, s_pow, s_alpha = _float_floor_chunk_sums(x, a, alpha, _BASE[1 : cut + 1])
+    else:
+        s_floor = s_pow = s_alpha = 0.0
+        n = min(cut, _FAST_CHUNK)
+        q_row, p_row, w_row = np.empty(n), np.empty(n), np.empty(n)
+        for d in _d_chunks(1, cut, None, as_float=x < 2**53):
+            n = len(d)
+            q, p, w = _float_floor_chunk_sums(x, a, alpha, d, q_row[:n], p_row[:n], w_row)
+            s_floor += q
+            s_pow += p
+            s_alpha += w
     return s_floor - s_pow + s_alpha, s_floor, s_pow, s_alpha
+
+
+def _float_floor_chunk_sums(x: int, a: int, alpha: float, d: np.ndarray, q=None, p=None, w_row=None):
+    """(sum floor(x/d) d^alpha, sum d^(alpha+a-1), sum d^alpha) over one chunk d of _float_floor_sums,
+    each step written into the rows q and p of len(d) entries and w_row, or, below x = 2**53, into
+    new arrays where they are None."""
+    if x < 2**53:  # float d, floor(x/d) and d^(a-1) are exact floats
+        q = _quotient(x, d, out=q)  # floor(x/d), then times d^alpha
+        if p is None:  # d^(a-1), then times d^alpha
+            p = d.copy()
+        else:
+            np.copyto(p, d)
+        for _ in range(a - 2):  # d^k <= d^(a-1) < x: every product is exact
+            p *= d
+    else:
+        np.copyto(q, x // d)
+        np.copyto(p, d if a == 2 else d ** (a - 1))
+    if alpha == 0:  # pow(d, 0.0) = 1: every weight is 1
+        return float(q.sum()), float(p.sum()), float(len(d))
+    w = _float_weights(d, alpha, w_row)
+    p *= w
+    q *= w
+    return float(q.sum()), float(p.sum()), float(w.sum())
 
 
 def _fast_sum_bound(lo: int, hi: int, x: int, alpha: int) -> int:

@@ -135,8 +135,7 @@ def integer_root(n: int, a: int) -> int:
     so boundary cases like n = D**a are always classified correctly.
     """
     require_count("root index", a, 2)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_count("n", n, 0)
     if n == 0:
         return 0
     if a == 2:

@@ -37,9 +37,9 @@ cw_sums._floor_sum, and float mode over those of cw_sums._float_floor_sums;
 the cw_sums module docstring states their chunk rules.
 An exact call whose cutoff is below _LOOP_CUTOFF sums that one sum in a
 plain for loop on Python ints instead, the same integer terms, so the same
-result: there numpy's fixed cost per call (a row, a few ufunc calls and a
-sum, about 6 us) exceeds a few dozen integer divisions, and the oracle
-sweeps make thousands of such calls.  The loop allocates no GC-tracked
+result: there numpy's fixed cost per call (one chunk's slice, a few ufunc
+calls and a sum, 2-4 us) exceeds a few dozen integer divisions, and the
+oracle sweeps make thousands of such calls.  The loop allocates no GC-tracked
 object.  Float mode always runs the chunks, whose rounding its outputs pin.
 Totals are Python ints in integer mode, so "fast equals brute force" is an
 exact integer equality, not a tolerance.  The power sums run before the
@@ -62,10 +62,12 @@ BRUTEFORCE_LIMIT = 10**8
 _CHUNK = 10**7
 # smallest cutoff at which exact summatory_fast runs the numpy chunks; below it
 # a Python-int loop is faster.  Loop time over chunk time of whole exact calls
-# at a = 2, alpha 0 / 1 / 2 / 3, medians of interleaved alternations in one
-# process (2-vCPU x86-64): cutoff 16 0.44 / 0.45 / 0.40 / 0.41x (15), 96
-# 0.82 / 0.68 / 1.00 / 1.07x, 104 0.88 / 0.72 / 1.05 / 1.14x and 128
-# 1.00 / 0.79 / 1.21 / 1.29x (21 each; BENCH_31.json "crossover")
+# at a = 2, alpha 0 / 1 / 2 / 3, medians of 21 interleaved alternations in one
+# process (2-vCPU x86-64): cutoff 64 0.87 / 0.67 / 0.77 / 0.82x, 80
+# 1.00 / 0.77 / 0.89 / 0.92x, 96 1.15 / 0.86 / 0.99 / 1.04x and 128
+# 1.40 / 1.03 / 1.19 / 1.27x (BENCH_33.json "crossover").  The crossovers lie
+# near 80 / 120 / 100 / 90.  At 100 no alpha pays more than about 1.2x for
+# the slower path (alpha 0 at cutoff 99), less than under any other constant
 _LOOP_CUTOFF = 100
 
 

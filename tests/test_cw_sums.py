@@ -86,8 +86,19 @@ def test_spec_validation():
         GSumSpec(2, 0, 1, -3)          # x < 0 rejected
     GSumSpec(2, -1, 0, 10)             # j=0 allows any real alpha
     for args in ((2, True, 1, 10**6), (2, 1, 1, True)):
-        with pytest.raises(ValueError, match="alpha and x must be ints or floats"):
+        with pytest.raises(ValueError, match="^(alpha|x) must be an int, Fraction or float"):
             GSumSpec(*args)            # a bool is neither exact nor float mode
+    # a numpy int x would select float mode (-15.499999999999984 for -31/2), and
+    # a numpy int a fail inside mpmath once the cutoff is read
+    for args in ((2, 1, 1, np.int64(100)), (2, np.int64(1), 1, 100), (np.int64(2), 1, 1, 100), (2, 1, 1, "100")):
+        with pytest.raises(ValueError, match="^(a|alpha|x) must be an int, Fraction or float"):
+            GSumSpec(*args)
+    for bad in ((True, 2), (np.int64(100), 2), (100, np.int64(2)), (100, True)):
+        with pytest.raises(ValueError, match="^(x|a) must be an int, Fraction or float"):
+            gsum_cutoff(*bad)
+    assert g_sum(GSumSpec(2, 1, 1, 100)) == Fraction(-31, 2)
+    assert g_sum(GSumSpec(2, 1, 1, np.float64(100))) == g_sum(GSumSpec(2, 1, 1, 100.0))  # a numpy float is a float
+    assert GSumSpec(Fraction(3, 2), 1, 1, Fraction(201, 2)).cutoff == gsum_cutoff(100.5, 1.5) == 21
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

@@ -53,6 +53,11 @@ def test_integer_root_examples():
         integer_root(10, 1)
     with pytest.raises(ValueError):
         integer_root(-1, 2)
+    # n is checked like the n of every per-n function: a bool or numpy int is
+    # no count (1 for True, 10 for np.int64(100) if read as one), a float no integer
+    for n in (True, np.int64(100), 100.0):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            integer_root(n, 2)
 
 
 def test_integer_root_exactness_random():

@@ -645,10 +645,20 @@ def _all_fields(b):
 @pytest.mark.parametrize("a", (2, 3, 4))
 def test_small_cutoff_loop(monkeypatch, a):
     # below s._LOOP_CUTOFF exact summatory_fast sums its one d-dependent sum in
-    # a Python-int loop and builds no chunk; every field equals the term loop
-    # and the numpy chunk path (the constant patched to 0), on both sides of it
+    # a Python-int loop and builds no chunk.  From there, in the float regime
+    # (x < 2**53, alpha <= 1; float mode at any alpha), a cutoff of at most
+    # _FAST_CHUNK is one chunk, a slice of _BASE, with no _d_chunks generator;
+    # past either edge the chunks run.  Every exact field equals the term loop
+    # and the numpy path (the constant patched to 0), on both sides of each
+    # edge, and float mode equals its reference bit for bit
     c = s._LOOP_CUTOFF
-    xs = [0, 1] + [x for k in (c - 1, c, c + 1) for x in (k**a - 1, k**a, (k + 1) ** a - 1)]
+    cases = [(x, (0, 1, 2, 3, 64, 70)) for x in [0, 1] + [x for k in (c - 1, c, c + 1)
+                                                         for x in (k**a - 1, k**a, (k + 1) ** a - 1)]]
+    # ranges whose top is 2**14 (one chunk: len(_BASE) is 2**14 + 1) and 2**14 + 1,
+    # and x at 2**53, where a = 2 would put the cutoff at 9.5e7; at a = 4 the one
+    # chunk of x = 2**50 + 1 has a float sum of floor(x/d) that rounds past 2**53
+    edges = [x for k in (_FAST_CHUNK, _FAST_CHUNK + 1) for x in (k**a, (k + 1) ** a - 1)]
+    cases += [(x, (0, 1, 2, 1.0, 0.5)) for x in edges + ([2**50 + 1, 2**53 - 1, 2**53, 2**53 + 1] if a > 2 else [])]
     built = []
     chunks = cw_sums._d_chunks
 
@@ -657,13 +667,17 @@ def test_small_cutoff_loop(monkeypatch, a):
         return chunks(*args, **kwargs)
 
     monkeypatch.setattr(cw_sums, "_d_chunks", recording)
-    for alpha in (0, 1, 2, 3, 64, 70):
-        spec = DivisorSpec(a, alpha)
-        for x in xs:
-            cut = integer_root(x, a) if x else 0
+    for x, alphas in cases:
+        cut = integer_root(x, a) if x else 0
+        for alpha in alphas:
+            spec = DivisorSpec(a, alpha)
             built.clear()
             b = summatory_fast(x, spec)
-            assert built == ([(1, cut)] if cut >= c else []), (alpha, x)
+            one_chunk = x < 2**53 and cut <= _FAST_CHUNK and (not spec.exact or alpha <= 1)
+            assert built == ([] if one_chunk or spec.exact and cut < c else [(1, cut)]), (alpha, x)
+            if not spec.exact:
+                assert (b.total, b._s_floor, b._s_pow, b._s_alpha) == float_fast_reference(x, spec), (alpha, x)
+                continue
             assert fast_fields(x, spec) == loop_reference(x, spec), (alpha, x)
             assert b._s_lower == (sum(d ** (alpha - 1) for d in range(1, cut + 1)) if alpha else None)
             with pytest.MonkeyPatch.context() as mp:
