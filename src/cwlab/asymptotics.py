@@ -21,11 +21,12 @@ load mpmath.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cw_sums import gsum_cutoff
-from .divisors import integer_root, require_count, require_finite
+from .divisors import require_count, require_number
 
 DEFAULT_DPS = 50
 
@@ -69,8 +70,9 @@ class MainTermModel:
 
     def evaluate(self, x, dps: int = DEFAULT_DPS):
         from mpmath import mp
+        require_number("x", x, (int, Fraction, float, mp.mpf))
         with mp.workdps(dps):
-            xm = mp.mpf(x)
+            xm = _mpf(x)
             if not (mp.isfinite(xm) and xm > 0):
                 raise ValueError(f"x must be a finite number > 0, got {x!r}")
             logx = mp.log(xm)
@@ -109,13 +111,9 @@ def _normalize_terms(raw: list[Term]) -> tuple[Term, ...]:
 
 
 def _number(alpha):
-    """alpha as a Fraction (int or Fraction alpha) or a float; it must be
-    finite and >= 0, and a bool or any other type is refused."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction, float)):
-        raise ValueError(f"alpha must be an int, Fraction or float, got {alpha!r}")
-    if isinstance(alpha, float):
-        require_finite(alpha=alpha)
-    else:
+    """alpha, a number by require_number and >= 0, as a Fraction (int or Fraction alpha) or a float."""
+    require_number("alpha", alpha)
+    if not isinstance(alpha, float):
         alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -198,24 +196,22 @@ def euler_maclaurin_partial_sum(x, a, beta, dps: int = DEFAULT_DPS):
 
     The O-term is omitted; beta < -1 is out of contract.  The sawtooth at
     the cutoff uses the exact integer floor, so perfect a-th powers land on
-    psi = -1/2 exactly.  A Fraction a or beta enters at the working
+    psi = -1/2 exactly.  A Fraction x, a or beta enters at the working
     precision (_mpf), not rounded to a float.
     """
-    require_finite(x=x, a=a, beta=beta)
+    from mpmath import mp
+    require_number("x", x)
+    require_number("a", a)
+    require_number("beta", beta, (int, Fraction, float, mp.mpf))
     if beta < -1:
         raise ValueError("beta must be >= -1")
     if x < 1:
         raise ValueError("x must be >= 1")
     if a < 1:
         raise ValueError("a must be >= 1")
-    from mpmath import mp
     with mp.workdps(dps):
-        xm = mp.mpf(x)
-        if isinstance(x, int) and isinstance(a, int) and not isinstance(a, bool):
-            floor_root = integer_root(x, a) if a >= 2 else x
-        else:
-            floor_root = gsum_cutoff(x, a)
-        am, b = _mpf(a), _mpf(beta)
+        xm, am, b = _mpf(x), _mpf(a), _mpf(beta)
+        floor_root = math.floor(x) if a == 1 else gsum_cutoff(x, a)
         root = mp.sqrt(xm) if a == 2 else xm ** (mp.mpf(1) / am)
         psi_root = root - floor_root - mp.mpf(1) / 2
         if beta == -1:

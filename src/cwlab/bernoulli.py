@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .divisors import integer_root
+from .divisors import integer_root, require_count
 
 MAX_DEGREE = 64
 
@@ -39,8 +39,7 @@ def bernoulli_coefficients(j: int) -> tuple[Fraction, ...]:
     Memoized; the cache is guarded by a lock so concurrent first calls are
     safe (first writer wins, all writers agree).
     """
-    if j < 0:
-        raise ValueError("degree must be >= 0")
+    require_count("degree", j, 0)
     if j > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}, got {j}")
     got = _coeff_cache.get(j)
@@ -112,8 +111,7 @@ def frac_part(x):
 
 def bernoulli_func(j: int, x):
     """Periodic Bernoulli function B_j({x}); B_1({x}) coincides with psi(x)."""
-    if j < 1:
-        raise ValueError("bernoulli_func requires degree >= 1")
+    require_count("degree", j, 1)
     if j == 1:
         return psi(x)
     return bernoulli_poly(j, frac_part(x))
@@ -130,12 +128,10 @@ def bernoulli_fourier_truncated(j: int, t, m_max: int) -> float:
     Only absolutely convergent degrees are accepted (j >= 2); the j = 1
     series converges conditionally and is out of contract.
     """
-    if j < 2:
-        raise ValueError("Fourier truncation requires degree >= 2")
+    require_count("degree", j, 2)
     if j > MAX_DEGREE:
         raise ValueError(f"degree capped at {MAX_DEGREE}, got {j}")
-    if m_max < 1:
-        raise ValueError("truncation order must be >= 1")
+    require_count("truncation order", m_max, 1)
     top = sys.float_info.max  # m**j is finite up to the largest m with m**j <= top; past it the term is 0
     m = np.arange(1, (m_max if m_max**j <= top else integer_root(int(top), j)) + 1, dtype=np.float64)
     angles = (2.0 * math.pi * float(t)) * m

@@ -253,8 +253,13 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _divisor_spec(args) -> DivisorSpec:
+    """DivisorSpec(--a, --alpha), a Fraction --alpha taken as its float (real mode)."""
+    return DivisorSpec(args.a, float(args.alpha) if isinstance(args.alpha, Fraction) else args.alpha)
+
+
 def _cmd_divisor(args) -> int:
-    spec = DivisorSpec(args.a, args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha))
+    spec = _divisor_spec(args)
     divs = divisors._divisors(args.n)  # enumerated once for all three values
     # the restricted sum is at least d_max**alpha, d_max its largest divisor d <= n**(1/a)
     root = divisors.integer_root(args.n, args.a)
@@ -303,7 +308,7 @@ def _cmd_bw(args) -> int:
 
 
 def _cmd_summatory(args) -> int:
-    spec = DivisorSpec(args.a, args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha))
+    spec = _divisor_spec(args)
     if args.x >= 1:  # the total is at least D**alpha, from d = D, since floor(x/D) >= D**(a-1)
         _refuse_overlong(args, divisors.integer_root(args.x, args.a), spec.alpha)
     fast = brute = None
@@ -352,7 +357,9 @@ def _cmd_asympt(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    divisors.require_finite(a=args.a, alpha=args.alpha)
+    if args.a is not None:
+        divisors.require_number("a", args.a)
+    divisors.require_number("alpha", args.alpha)
     k_str, _, l_str = args.seed.partition(",")
     seed = ExponentPair(parse_rational(k_str), parse_rational(l_str))
     result = apply_word(args.word, seed)
@@ -383,9 +390,8 @@ def _cmd_fit(args) -> int:
     else:
         if not isinstance(args.a, int):
             raise ValueError("summatory residual fits require integer a")
-        alpha = args.alpha if not isinstance(args.alpha, Fraction) else float(args.alpha)
-        spec = DivisorSpec(args.a, alpha)
-        series = residual_series(spec, asymptotics.restricted_model(alpha, args.a, args.cw), grid)
+        spec = _divisor_spec(args)
+        series = residual_series(spec, asymptotics.restricted_model(spec.alpha, args.a, args.cw), grid)
         report = fit_loglog(series)
         rows = [asdict(p) for p in series]
         params = {"a": args.a, "alpha": args.alpha, "cw": args.cw,

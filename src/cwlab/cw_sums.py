@@ -79,7 +79,7 @@ import numpy as np
 from . import bernoulli
 from .bernoulli import MAX_DEGREE, bernoulli_coefficients, psi
 from .divisors import _TRIAL_CHUNK as _FAST_CHUNK  # divisors._BASE is longer than any chunk
-from .divisors import _BASE, float64_guarded, integer_root, require_count, require_finite
+from .divisors import _BASE, float64_guarded, integer_root, require_count, require_number
 
 # work budget of one exact range sum in terms * max(e, 1), e = max(j - alpha, 0):
 # the common denominator grows by about 0.43 * e digits a term; at the limit
@@ -116,8 +116,9 @@ class GSumSpec:
     x: int | float
 
     def __post_init__(self):
-        _require_number(a=self.a, alpha=self.alpha, x=self.x)
-        require_finite(a=self.a, alpha=self.alpha, x=self.x)
+        require_number("a", self.a)
+        require_number("alpha", self.alpha)
+        require_number("x", self.x)
         if self.a <= 1:
             raise ValueError(f"restriction root a must exceed 1, got {self.a!r}")
         require_count("Bernoulli index j", self.j, 0)
@@ -136,23 +137,16 @@ class GSumSpec:
         return gsum_cutoff(self.x, self.a)
 
 
-def _require_number(**values) -> None:
-    """Raise ValueError naming the first value that is a bool or not an int, Fraction or float:
-    a numpy int would pass for a number but take float mode, or fail inside mpmath."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
-            raise ValueError(f"{name} must be an int, Fraction or float, got {v!r}")
-
-
 def gsum_cutoff(x, a) -> int:
     """Largest integer D >= 0 with D**a <= x, exact for integer a and for a = p/q, a Fraction
     or a float with q <= 16, as D**p <= floor(x**q) for int and float x (module docstring)."""
-    _require_number(x=x, a=a)
+    require_number("x", x)
+    require_number("a", a)
     if x < 0:
         raise ValueError("x must be >= 0")
     if x < 1:
         return 0
-    if isinstance(a, int) and not isinstance(a, bool):
+    if isinstance(a, int):
         return integer_root(math.floor(x), a)
     if isinstance(a, float) and Fraction(a).denominator <= 16:
         a = Fraction(a)
@@ -636,7 +630,7 @@ def shifted_psi_block_sum(n_start: int, x, shift_a: int = 0, shift_b: int = 0):
     if abs(shift_a) + abs(shift_b) > 1:
         raise ValueError("|shift_a| + |shift_b| must be <= 1")
     require_count("block start", n_start, 3)
-    require_finite(x=x)
+    require_number("x", x)
     if x < 1:
         raise ValueError("x must be >= 1")
     if n_start * n_start > x:

@@ -29,12 +29,20 @@ values.  The sums over the divisors run on Python ints, so they cannot wrap.
 The batch sieves add in the narrowest integer lane that holds the proven
 entry cap, and refuse any table whose cap no int64 holds before allocating
 it (_lane_dtype).
+
+Every public input of the package passes one of two checks defined here.
+A count (n, a root index, a degree) passes require_count: an int, not a
+bool.  A real parameter (alpha, a, x, beta, a grid ratio) passes
+require_number: an int, Fraction or float, or fewer kinds where fewer are
+taken, never a bool, a numpy int, a string or None; a float must be finite,
+and a numpy float64 is a float.  Range checks stay with each caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import takewhile
 from math import isqrt
 
@@ -50,19 +58,24 @@ _BASE = np.arange(_TRIAL_CHUNK + 1, dtype=np.float64)
 _BASE.flags.writeable = False
 
 
-def require_finite(**values) -> None:
-    """Raise ValueError naming the first float value that is NaN or infinite."""
-    for name, v in values.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-
-
 def require_count(name: str, value, least: int) -> None:
     """Raise ValueError unless value is an int, not a bool, and at least least."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def require_number(name: str, value, kinds=(int, Fraction, float)) -> None:
+    """Raise ValueError unless value is of one of kinds (int first), not a bool, and finite if a float.
+
+    A numpy float64 is a float and passes; a numpy int, a string or None does not.
+    """
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        *head, last = (kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be an {', '.join(head)} or {last}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def float64_guarded(alpha, n: int, fn, *args):
@@ -111,21 +124,13 @@ class DivisorSpec:
 
     def __post_init__(self):
         require_count("restriction root a", self.a, 2)
-        _require_alpha(self.alpha)
+        require_number("alpha", self.alpha, (int, float))
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
 
     @property
     def exact(self) -> bool:
         return isinstance(self.alpha, int)
-
-
-def _require_alpha(alpha) -> None:
-    """Raise ValueError unless the weight exponent alpha is a finite int (exact-integer
-    mode) or float (real mode) >= 0, not a bool."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ValueError(f"alpha must be an int or float, got {alpha!r}")
-    require_finite(alpha=alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
 
 
 def integer_root(n: int, a: int) -> int:
@@ -236,7 +241,9 @@ def tau(n: int) -> int:
 
 def sigma_alpha(n: int, alpha):
     """Full divisor power sum sigma_alpha(n) over all divisors, alpha as in DivisorSpec."""
-    _require_alpha(alpha)
+    require_number("alpha", alpha, (int, float))
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     return _divisor_power_sum(_divisors(n), alpha, n)
 
 

@@ -18,7 +18,7 @@ from statistics import linear_regression
 
 from .asymptotics import DEFAULT_DPS, MainTermModel
 from .cw_sums import GSumSpec, g_sum
-from .divisors import DivisorSpec, require_count, require_finite
+from .divisors import DivisorSpec, require_count, require_number
 from .summatory import summatory_fast
 
 RESIDUAL_X_LIMIT = 10**12
@@ -38,7 +38,7 @@ class GridSpec:
     def __post_init__(self):
         require_count("grid x0", self.x0, 10)
         require_count("grid count", self.count, 3)
-        require_finite(**{"grid ratio": self.ratio})
+        require_number("grid ratio", self.ratio)
         if not self.ratio > 1:
             raise ValueError("grid ratio must exceed 1")
         try:  # the last point is the largest; every earlier one is finite with it
@@ -138,6 +138,7 @@ def cw_series(
     grid: GridSpec = DEFAULT_GRID,
 ) -> list[tuple[int, float]]:
     """G_{a,alpha,j}(x) over the grid (float mode), ordered by x."""
+    require_number("alpha", alpha)
     return [(x, g_sum(GSumSpec(a, float(alpha), j, x))) for x in grid.points()]
 
 

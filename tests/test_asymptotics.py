@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -175,6 +176,16 @@ def test_em_rational_a_and_beta_at_working_precision():
                     want = (xm ** ((b + 1) / am) / (b + 1) - psi_root * xm ** (b / am)
                             + mp.mpf(1) / 2 - b / 8 - 1 / (b + 1))
                 assert abs(got - want) <= mp.mpf("1e-45") * abs(want), (a, beta)
+
+
+def test_em_and_models_take_fraction_x():
+    # a Fraction x enters at the working precision, as a Fraction alpha does;
+    # a numpy int x is refused by name, not by mpmath
+    assert euler_maclaurin_partial_sum(Fraction(201, 2), 2, 1) == euler_maclaurin_partial_sum(100.5, 2, 1)
+    assert restricted_model(1).evaluate(Fraction(201, 2)) == restricted_model(1).evaluate(100.5)
+    assert euler_maclaurin_partial_sum(Fraction(201, 2), 1, 0) == 100  # a = 1: sum_{d <= 100.5} 1
+    with pytest.raises(ValueError, match="^x must be an int"):
+        main_term_sqrt_restricted(np.int64(100), 1)
 
 
 def test_em_rejects_bad_beta():

@@ -166,6 +166,19 @@ def test_fourier_rejects_conditional_convergence():
         bernoulli_fourier_truncated(2, 0.3, 0)
 
 
+def test_degrees_and_orders_are_counts():
+    # a degree or truncation order passes require_count: a bool is not read as
+    # j = 1, a float is no bare TypeError, and a float order is not summed
+    for call in (lambda v: bernoulli_coefficients(v), lambda v: bernoulli_func(v, 0.3),
+                 lambda v: bernoulli_fourier_truncated(v, 0.3, 3)):
+        for bad in (True, 2.5, np.int64(2)):
+            with pytest.raises(ValueError, match="^degree must be an integer"):
+                call(bad)
+    for bad in (True, 3.5, np.int64(3)):
+        with pytest.raises(ValueError, match="^truncation order must be an integer"):
+            bernoulli_fourier_truncated(2, 0.3, bad)
+
+
 def test_concurrent_memo_initialization():
     # first-writer-wins under concurrent cold-cache access
     import threading

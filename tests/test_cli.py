@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cwlab.cli import main
+from cwlab.asymptotics import restricted_model
+from cwlab.cli import _fmt, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +88,15 @@ def test_asympt_json():
     assert doc["result"]["absorption_threshold"] == "1131/824"
     # 30-digit value round-trips at emitted precision
     assert float(doc["result"]["value"]) == pytest.approx(641.6666666, abs=1e-6)
+
+
+def test_asympt_fraction_x():
+    # a p/q --x reaches the model as the Fraction it is, which it takes exactly
+    code, out, err = run(["asympt", "--alpha", "1", "--x", "201/2", "--format", "json"])
+    assert code == 0 and err == "", err
+    doc = json.loads(out)["result"]
+    assert doc["x"] == "201/2"
+    assert doc["value"] == _fmt(restricted_model(1).evaluate(Fraction(201, 2)))
 
 
 def test_fit_golden_exact_columns():

@@ -2,12 +2,15 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
 
 from cwlab import cw_sums, divisors, invariants, summatory
+from cwlab.asymptotics import error_exponent, euler_maclaurin_partial_sum, restricted_model
+from cwlab.cw_sums import GSumSpec, g_sum, gsum_cutoff, shifted_psi_block_sum
 from cwlab.divisors import (
     _TRIAL_CHUNK,
     _TRIAL_DIVISION_LIMIT,
@@ -23,6 +26,7 @@ from cwlab.divisors import (
     tau_table,
     tau_tilde_via_identity,
 )
+from cwlab.experiments import GridSpec, cw_slope_test
 from cwlab.summatory import summatory_bruteforce, summatory_bruteforce_table
 
 
@@ -42,6 +46,55 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_alpha(bad):
     with pytest.raises(ValueError, match="finite"):
         DivisorSpec(2, bad)
+
+
+_GRID = GridSpec(100, 2.0, 3)
+# every public real-valued parameter: the name its messages start with, a call
+# with the value in its place, a float it takes, and what a Fraction of that
+# float gives: None where a Fraction is refused, else the output of the float,
+# or of the int for the exact models (good integral)
+REAL_PARAMETERS = [
+    pytest.param("alpha", lambda v: divisor_sum_restricted(36, DivisorSpec(2, v)), 2.5, None, id="DivisorSpec.alpha"),
+    pytest.param("alpha", lambda v: sigma_alpha(36, v), 2.5, None, id="sigma_alpha.alpha"),
+    pytest.param("a", lambda v: g_sum(GSumSpec(v, 1, 1, 100)), 2.5, float, id="GSumSpec.a"),
+    pytest.param("alpha", lambda v: g_sum(GSumSpec(2, v, 1, 100)), 2.5, float, id="GSumSpec.alpha"),
+    pytest.param("x", lambda v: g_sum(GSumSpec(2, 1, 1, v)), 100.5, float, id="GSumSpec.x"),
+    pytest.param("x", lambda v: gsum_cutoff(v, 2), 100.5, float, id="gsum_cutoff.x"),
+    pytest.param("a", lambda v: gsum_cutoff(100, v), 2.5, float, id="gsum_cutoff.a"),
+    pytest.param("x", lambda v: shifted_psi_block_sum(3, v), 100.5, float, id="shifted_psi_block_sum.x"),
+    pytest.param("alpha", lambda v: restricted_model(v), 2.0, int, id="restricted_model.alpha"),
+    pytest.param("alpha", lambda v: error_exponent(v), 2.0, int, id="error_exponent.alpha"),
+    pytest.param("x", lambda v: restricted_model(1).evaluate(v), 100.5, float, id="MainTermModel.evaluate.x"),
+    pytest.param("x", lambda v: euler_maclaurin_partial_sum(v, 2, 1), 100.5, float, id="euler_maclaurin.x"),
+    pytest.param("a", lambda v: euler_maclaurin_partial_sum(100, v, 1), 2.5, float, id="euler_maclaurin.a"),
+    pytest.param("beta", lambda v: euler_maclaurin_partial_sum(100, 2, v), 2.5, float, id="euler_maclaurin.beta"),
+    pytest.param("grid ratio", lambda v: GridSpec(10, v, 3).points(), 2.5, float, id="GridSpec.ratio"),
+    pytest.param("alpha", lambda v: cw_slope_test(2, v, 1, _GRID), 2.5, float, id="cw_slope_test.alpha"),
+]
+
+
+@pytest.mark.parametrize("bad", (True, np.int64(2), "2", None), ids=("bool", "numpy-int", "str", "None"))
+@pytest.mark.parametrize("name, call, good, fraction", REAL_PARAMETERS)
+def test_real_parameters_refuse_non_numbers(name, call, good, fraction, bad):
+    # one check (divisors.require_number) for every real-valued input: a bool
+    # is not read as 0 or 1, a numpy int does not slip into float mode or fail
+    # inside mpmath, and a string or None is no bare TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call, good, fraction", REAL_PARAMETERS)
+def test_real_parameters_take_numpy_floats_and_fractions(name, call, good, fraction):
+    want = call(good)
+    got = call(np.float64(good))  # a numpy float64 is a float
+    assert got == want and type(got) is type(want)
+    if fraction is not None:
+        want = call(fraction(good))
+        got = call(Fraction(good))
+        assert got == want and type(got) is type(want)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be an int or float"):
+            call(Fraction(good))
 
 
 def test_integer_root_examples():

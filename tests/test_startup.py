@@ -75,6 +75,39 @@ def test_only_float64_guarded_decides_float_overflow():
     assert found == guard, sorted(found - guard)
 
 
+def test_only_require_number_decides_numeric_inputs():
+    # a float's finiteness is tested (math.isfinite) only by divisors.require_number
+    # and float64_guarded, and a bool is told apart (isinstance(v, bool)) only by
+    # require_count, require_number and the CLI formatters: no function keeps a
+    # type rule of its own for numeric input
+    package = Path(cwlab.__file__).parent
+    found = set()
+
+    def names_bool(node):
+        kinds = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (where[0], node.name)
+        if (isinstance(node, ast.Attribute) and node.attr == "isfinite" and isinstance(node.value, ast.Name)
+                and node.value.id == "math") or (isinstance(node, ast.ImportFrom) and node.module == "math"
+                                                 and any(alias.name == "isfinite" for alias in node.names)):
+            found.add((*where, "math.isfinite"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2 and names_bool(node.args[1])):
+            found.add((*where, "isinstance bool"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in package.glob("*.py"):
+        visit(ast.parse(path.read_text()), (path.stem, None))
+    allowed = {("divisors", "require_number", "math.isfinite"), ("divisors", "float64_guarded", "math.isfinite"),
+               ("divisors", "require_count", "isinstance bool"), ("divisors", "require_number", "isinstance bool"),
+               ("cli", "_fmt", "isinstance bool"), ("cli", "_jsonable", "isinstance bool")}
+    assert found == allowed, sorted(found ^ allowed)
+
+
 def test_chunk_rules_stay_in_cw_sums():
     # the helpers that decide how x is divided by a chunk of d are named in
     # cw_sums alone, and no module binds another's private function by
